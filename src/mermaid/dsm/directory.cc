@@ -7,8 +7,8 @@
 namespace mermaid::dsm {
 namespace {
 
-// splitmix64 finalizer: cheap, well-distributed, and a pure function — every
-// host derives the identical ring from (num_hosts, shards_per_host) alone.
+// splitmix64 finalizer: cheap, well-distributed, and a pure function — the
+// ring follows from (num_hosts, shards_per_host) alone.
 std::uint64_t Mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -23,30 +23,51 @@ std::uint64_t PageKey(PageNum p) {
 
 }  // namespace
 
+std::shared_ptr<const Directory::Placement> Directory::BuildPlacement(
+    const SystemConfig& cfg, std::uint16_t num_hosts, PageNum num_pages) {
+  MERMAID_CHECK(num_hosts > 0);
+  auto placement = std::make_shared<Placement>(num_pages);
+  Placement& out = *placement;
+  if (cfg.directory_mode == SystemConfig::DirectoryMode::kFixed) {
+    for (PageNum p = 0; p < num_pages; ++p) {
+      out[p] = static_cast<net::HostId>(p % num_hosts);
+    }
+    return placement;
+  }
+  // Consistent-hash ring: (hash, host), sorted by hash; a page belongs to
+  // the first virtual node at or after its key, wrapping around.
+  const std::uint32_t shards =
+      std::max<std::uint32_t>(1, cfg.directory_shards_per_host);
+  std::vector<std::pair<std::uint64_t, std::uint16_t>> ring;
+  ring.reserve(static_cast<std::size_t>(num_hosts) * shards);
+  for (std::uint16_t h = 0; h < num_hosts; ++h) {
+    for (std::uint32_t v = 0; v < shards; ++v) {
+      ring.emplace_back(Mix64((static_cast<std::uint64_t>(h) << 32) | v), h);
+    }
+  }
+  std::sort(ring.begin(), ring.end());
+  for (PageNum p = 0; p < num_pages; ++p) {
+    auto it = std::upper_bound(
+        ring.begin(), ring.end(), PageKey(p),
+        [](std::uint64_t k, const std::pair<std::uint64_t, std::uint16_t>& n) {
+          return k < n.first;
+        });
+    if (it == ring.end()) it = ring.begin();  // wrap
+    out[p] = static_cast<net::HostId>(it->second);
+  }
+  return placement;
+}
+
 Directory::Directory(const SystemConfig& cfg, net::HostId self,
-                     std::uint16_t num_hosts, PageNum num_pages)
+                     std::shared_ptr<const Placement> placement)
     : mode_(cfg.directory_mode),
       self_(self),
-      num_hosts_(num_hosts),
-      num_pages_(num_pages) {
-  MERMAID_CHECK(num_hosts > 0);
-  if (mode_ != SystemConfig::DirectoryMode::kFixed) {
-    const std::uint32_t shards = std::max<std::uint32_t>(
-        1, cfg.directory_shards_per_host);
-    ring_.reserve(static_cast<std::size_t>(num_hosts) * shards);
-    for (std::uint16_t h = 0; h < num_hosts; ++h) {
-      for (std::uint32_t v = 0; v < shards; ++v) {
-        const std::uint64_t key =
-            Mix64((static_cast<std::uint64_t>(h) << 32) | v);
-        ring_.emplace_back(key, h);
-      }
-    }
-    std::sort(ring_.begin(), ring_.end());
-  }
+      placement_(std::move(placement)) {
   // Initially the base manager owns every page it manages, holding the
   // zero-filled read copy (the matching LocalPageEntry seeding lives in the
   // Host constructor).
-  for (PageNum p = 0; p < num_pages; ++p) {
+  const PageNum n = num_pages();
+  for (PageNum p = 0; p < n; ++p) {
     if (BaseManagerOf(p) == self_) {
       ManagerEntry& m = entries_[p];
       m.owner = self_;
@@ -55,23 +76,9 @@ Directory::Directory(const SystemConfig& cfg, net::HostId self,
   }
 }
 
-net::HostId Directory::BaseManagerOf(PageNum p) const {
-  if (mode_ == SystemConfig::DirectoryMode::kFixed) {
-    return static_cast<net::HostId>(p % num_hosts_);
-  }
-  return RingManagerOf(p);
-}
-
-net::HostId Directory::RingManagerOf(PageNum p) const {
-  const std::uint64_t key = PageKey(p);
-  auto it = std::upper_bound(
-      ring_.begin(), ring_.end(), key,
-      [](std::uint64_t k, const std::pair<std::uint64_t, std::uint16_t>& n) {
-        return k < n.first;
-      });
-  if (it == ring_.end()) it = ring_.begin();  // wrap
-  return static_cast<net::HostId>(it->second);
-}
+Directory::Directory(const SystemConfig& cfg, net::HostId self,
+                     std::uint16_t num_hosts, PageNum num_pages)
+    : Directory(cfg, self, BuildPlacement(cfg, num_hosts, num_pages)) {}
 
 ManagerEntry& Directory::Manager(PageNum p) {
   auto it = entries_.find(p);
@@ -140,7 +147,8 @@ void Directory::ClearForward(PageNum p) { forwards_.erase(p); }
 
 void Directory::WipeForCrash() {
   entries_.clear();
-  for (PageNum p = 0; p < num_pages_; ++p) {
+  const PageNum n = num_pages();
+  for (PageNum p = 0; p < n; ++p) {
     if (BaseManagerOf(p) == self_) entries_[p];  // default (unknown) entry
   }
   forwards_.clear();

@@ -16,15 +16,19 @@
 //               point: old managers keep a forward pointer, requesters keep
 //               a learned location, and recovery rebuilds from the base.
 //
-// All mutable state here is guarded by the owning Host's state_mu_, exactly
-// like the PageTable it was split from.
+// The base placement of every page is an immutable page -> host table
+// (Placement). A System builds it once and every host's Directory shares
+// it, so a lookup is an array index. All mutable state here is guarded by
+// the owning Host's state_mu_, exactly like the PageTable it was split from.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "mermaid/base/check.h"
 #include "mermaid/dsm/page_table.h"
 #include "mermaid/dsm/types.h"
 #include "mermaid/net/network.h"
@@ -33,11 +37,24 @@ namespace mermaid::dsm {
 
 class Directory {
  public:
+  // Base manager of each page, indexed by page number. A pure function of
+  // (directory_mode, directory_shards_per_host, num_hosts, num_pages).
+  using Placement = std::vector<net::HostId>;
+  static std::shared_ptr<const Placement> BuildPlacement(
+      const SystemConfig& cfg, std::uint16_t num_hosts, PageNum num_pages);
+
+  // Shares `placement` (from BuildPlacement with the same cfg).
+  Directory(const SystemConfig& cfg, net::HostId self,
+            std::shared_ptr<const Placement> placement);
+  // Builds a private placement; for use outside a System.
   Directory(const SystemConfig& cfg, net::HostId self, std::uint16_t num_hosts,
             PageNum num_pages);
 
-  // --- static base placement (pure function; safe without locks) ---------
-  net::HostId BaseManagerOf(PageNum p) const;
+  // --- static base placement (immutable; safe without locks) -------------
+  net::HostId BaseManagerOf(PageNum p) const {
+    MERMAID_CHECK(p < placement_->size());
+    return (*placement_)[p];
+  }
   bool BaseManagedHere(PageNum p) const { return BaseManagerOf(p) == self_; }
 
   // --- this host's manager entries ----------------------------------------
@@ -85,20 +102,17 @@ class Directory {
   // forward pointer and learned location is forgotten.
   void WipeForCrash();
 
-  PageNum num_pages() const { return num_pages_; }
+  PageNum num_pages() const {
+    return static_cast<PageNum>(placement_->size());
+  }
   bool dynamic() const {
     return mode_ == SystemConfig::DirectoryMode::kDynamic;
   }
 
  private:
-  net::HostId RingManagerOf(PageNum p) const;
-
   SystemConfig::DirectoryMode mode_;
   net::HostId self_;
-  std::uint16_t num_hosts_;
-  PageNum num_pages_;
-  // Consistent-hash ring: (hash, host), sorted by hash. Empty under kFixed.
-  std::vector<std::pair<std::uint64_t, std::uint16_t>> ring_;
+  std::shared_ptr<const Placement> placement_;
   std::map<PageNum, ManagerEntry> entries_;
   std::map<PageNum, Forward> forwards_;
   std::map<PageNum, std::pair<net::HostId, std::uint32_t>> learned_;

@@ -37,7 +37,8 @@ SimDuration FaultBackoff(const SystemConfig& cfg, int round) {
 Host::Host(sim::Runtime& rt, net::Network& net, const SystemConfig& cfg,
            const arch::TypeRegistry& registry, net::HostId self,
            const arch::ArchProfile* profile, std::uint16_t num_hosts,
-           std::uint32_t page_bytes, CoherenceReferee* referee)
+           std::uint32_t page_bytes, CoherenceReferee* referee,
+           std::shared_ptr<const Directory::Placement> placement)
     : rt_(rt),
       net_(net),
       cfg_(cfg),
@@ -56,8 +57,7 @@ Host::Host(sim::Runtime& rt, net::Network& net, const SystemConfig& cfg,
                 }()),
       mem_(cfg.region_bytes, 0),
       ptable_(static_cast<PageNum>(cfg.region_bytes / page_bytes)),
-      dir_(cfg, self, num_hosts,
-           static_cast<PageNum>(cfg.region_bytes / page_bytes)),
+      dir_(cfg, self, std::move(placement)),
       migrate_chan_(rt),
       cpu_busy_until_(profile->cpu_count, 0) {
   // The base manager starts out owning every page it manages, holding the

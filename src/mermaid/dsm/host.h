@@ -53,10 +53,13 @@ namespace mermaid::dsm {
 
 class Host {
  public:
+  // `placement` is the System-wide base manager table
+  // (Directory::BuildPlacement over num_hosts and the region's pages).
   Host(sim::Runtime& rt, net::Network& net, const SystemConfig& cfg,
        const arch::TypeRegistry& registry, net::HostId self,
        const arch::ArchProfile* profile, std::uint16_t num_hosts,
-       std::uint32_t page_bytes, CoherenceReferee* referee);
+       std::uint32_t page_bytes, CoherenceReferee* referee,
+       std::shared_ptr<const Directory::Placement> placement);
 
   // Registers protocol handlers and starts the receive daemon.
   void Start();

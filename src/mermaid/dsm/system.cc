@@ -50,10 +50,14 @@ System::System(sim::Runtime& rt, SystemConfig cfg,
   network_ = std::make_unique<net::Network>(rt, cfg_.net);
   network_->SetTracer(tracer_.get());
   const auto num_hosts = static_cast<std::uint16_t>(host_profiles.size());
+  // One immutable base placement for the whole system, shared by every
+  // host's Directory instead of each host deriving its own.
+  const auto placement = Directory::BuildPlacement(
+      cfg_, num_hosts, static_cast<PageNum>(cfg_.region_bytes / page_bytes_));
   for (std::uint16_t i = 0; i < num_hosts; ++i) {
     hosts_.push_back(std::make_unique<Host>(
         rt, *network_, cfg_, registry_, i, host_profiles[i], num_hosts,
-        page_bytes_, &referee_));
+        page_bytes_, &referee_, placement));
     hosts_.back()->SetTracer(tracer_.get());
     // Per-message-class wire accounting (reqrep.tx_msgs.<class> /
     // reqrep.tx_bytes.<class>) named with the DSM opcode table.

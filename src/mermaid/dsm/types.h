@@ -177,15 +177,6 @@ struct SystemConfig {
   // (kDynamic): past it the forwarder answers with a redirect instead, and
   // the requester re-routes from its learned location.
   int directory_forward_limit = 8;
-
-  // --- scheduler (default OFF: legacy engine, whose event order defines
-  // every table) ---
-  //
-  // System never reads this itself; drivers that own the Engine construct
-  // it from here (`sim::Engine eng(cfg.engine);`) so one config struct
-  // carries the whole experiment, scheduler included. Any combination is
-  // proven bit-identical to legacy by the determinism regression suite.
-  sim::EngineOptions engine;
 };
 
 // Protocol opcodes (one Endpoint per host, shared with the sync module).

@@ -24,6 +24,18 @@
 #include <sanitizer/common_interface_defs.h>
 #endif
 
+#if defined(__SANITIZE_THREAD__)
+#define MERMAID_HAS_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define MERMAID_HAS_TSAN 1
+#endif
+#endif
+
+#ifdef MERMAID_HAS_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
+
 #ifndef MAP_STACK
 #define MAP_STACK 0
 #endif
@@ -32,20 +44,12 @@ namespace mermaid::sim {
 
 namespace {
 // Identifies the process the current OS thread is running, to catch misuse
-// of process-only calls from the wrong thread. In fiber mode every process
-// runs on the Run() thread, so the scheduler sets/clears this around each
-// fiber swap instead of each process thread setting it once.
+// of process-only calls from the wrong thread. Every process runs on the
+// Run() thread, so the scheduler sets/clears this around each fiber swap.
 thread_local void* tls_proc = nullptr;
 
 // Ungrouped Spawn calls are spread round-robin over this many sub-queues.
 constexpr std::uint32_t kDefaultGroups = 16;
-
-EngineOptions Normalize(EngineOptions o) {
-  // The timer wheel feeds the sub-queue pick path; it cannot run under the
-  // legacy scan (which reads proc fields, not queues).
-  if (o.timer_wheel) o.subqueues = true;
-  return o;
-}
 
 // ASan must be told about every stack switch or it poisons/unpoisons the
 // wrong frames and reports false stack-use-after-return. No-ops elsewhere.
@@ -70,22 +74,49 @@ inline void AsanFinishSwitch(void* fake_restore, const void** old_lo,
   (void)old_sz;
 #endif
 }
-}  // namespace
 
-EngineOptions EngineOptions::FromEnv() {
-  const char* v = std::getenv("MERMAID_ENGINE");
-  if (v == nullptr) return {};
-  const std::string s(v);
-  if (s == "opt" || s == "all" || s == "fast") return AllOn();
-  return {};
+// TSan keeps a shadow call stack per thread; a swapcontext it is not told
+// about leaves that stack describing the wrong fiber, so reports would
+// carry garbled stacks. Annotated, each fiber has its own, and a switch
+// orders the two fibers (happens-before), matching the engine's
+// one-process-at-a-time semantics. No-ops elsewhere.
+inline void* TsanCreateFiber() {
+#ifdef MERMAID_HAS_TSAN
+  return __tsan_create_fiber(0);
+#else
+  return nullptr;
+#endif
 }
+
+inline void* TsanCurrentFiber() {
+#ifdef MERMAID_HAS_TSAN
+  return __tsan_get_current_fiber();
+#else
+  return nullptr;
+#endif
+}
+
+inline void TsanSwitchToFiber(void* fiber) {
+#ifdef MERMAID_HAS_TSAN
+  __tsan_switch_to_fiber(fiber, 0);
+#else
+  (void)fiber;
+#endif
+}
+
+inline void TsanDestroyFiber(void* fiber) {
+#ifdef MERMAID_HAS_TSAN
+  if (fiber != nullptr) __tsan_destroy_fiber(fiber);
+#else
+  (void)fiber;
+#endif
+}
+}  // namespace
 
 struct Engine::Proc {
   Engine* eng = nullptr;
   std::string name;
-  std::thread thread;
-  std::condition_variable cv;
-  std::function<void()> fn;  // fiber mode only; threads capture it instead
+  std::function<void()> fn;
   bool daemon = false;
   bool done = false;
   // Earliest virtual time at which this process may resume; kNever while it
@@ -93,27 +124,30 @@ struct Engine::Proc {
   SimTime wake_time = 0;
   std::uint64_t seq = 0;
   bool running = false;
-  // Scheduler affinity group (sub-queue index); unused in legacy mode.
+  // Scheduler affinity group (sub-queue index).
   std::uint32_t group = 0;
   // True when the current (wake_time, seq) is a receive deadline rather
   // than a pending delivery/delay: deadline waits park on the timer wheel.
   bool wake_is_deadline = false;
   TimerWheel::Timer* timer = nullptr;  // wheel node while parked there
-  // Fiber mode: context plus an mmapped stack with a guard page at the low
-  // end. asan_fake is ASan's fake-stack handle for this fiber.
+  // Fiber context plus an mmapped stack with a guard page at the low end.
+  // asan_fake is ASan's fake-stack handle for this fiber, tsan_fiber TSan's.
   ucontext_t uctx = {};
   void* stack_base = nullptr;
   std::size_t stack_total = 0;
   void* stack_lo = nullptr;
   std::size_t stack_usable = 0;
   void* asan_fake = nullptr;
+  void* tsan_fiber = nullptr;
 };
 
+// The Run() thread's own context: the scheduler every fiber returns to.
 struct Engine::FiberState {
   ucontext_t sched_ctx = {};
   void* sched_fake = nullptr;  // ASan handle for the Run() thread's stack
   const void* sched_lo = nullptr;
   std::size_t sched_sz = 0;
+  void* sched_tsan = nullptr;  // TSan fiber of the Run() thread
 };
 
 class Engine::SimChan final : public ChanCore {
@@ -201,42 +235,28 @@ class Engine::SimChan final : public ChanCore {
   std::vector<Proc*> waiters_;
 };
 
-Engine::Engine(EngineOptions opts) : opts_(Normalize(opts)) {
-  if (opts_.subqueues) subqueues_.resize(kDefaultGroups);
-  if (opts_.slab) {
-    proc_slab_ = std::make_unique<base::Slab>(sizeof(Proc), /*per_chunk=*/64);
-    item_slab_ = std::make_unique<base::SlabPool>();
-  }
-  if (opts_.fast_handoff) fibers_ = std::make_unique<FiberState>();
-}
+Engine::Engine(EngineOptions opts)
+    : fiber_stack_bytes_(opts.fiber_stack_bytes),
+      subqueues_(kDefaultGroups),
+      fibers_(std::make_unique<FiberState>()),
+      proc_slab_(sizeof(Proc), /*blocks_per_chunk=*/64) {}
 
 Engine::~Engine() {
   if (!run_called_ && live_total_ > 0) {
     // Processes were spawned but never driven; run them to completion so
-    // their threads/fibers can be reaped.
+    // their fibers can be reaped.
     Run();
   }
   DestroyProcs();
 }
 
-Engine::Proc* Engine::NewProcLocked() {
-  if (proc_slab_) return new (proc_slab_->Alloc()) Proc();
-  return new Proc();
-}
-
 void Engine::DestroyProcs() {
-  for (Proc* p : procs_) {
-    if (p->thread.joinable()) p->thread.join();
-  }
   for (Proc* p : procs_) {
     void* stack = p->stack_base;
     const std::size_t total = p->stack_total;
-    if (proc_slab_) {
-      p->~Proc();
-      proc_slab_->Free(p);
-    } else {
-      delete p;
-    }
+    TsanDestroyFiber(p->tsan_fiber);
+    p->~Proc();
+    proc_slab_.Free(p);
     if (stack != nullptr) munmap(stack, total);
   }
   procs_.clear();
@@ -275,43 +295,22 @@ void Engine::SpawnInternal(std::int64_t group, std::string name,
                     trace::kNoPage, static_cast<std::uint64_t>(procs_.size()),
                     0, daemon ? 1 : 0);
   }
-  Proc* p = NewProcLocked();
+  Proc* p = new (proc_slab_.Alloc()) Proc();
   p->eng = this;
   p->name = std::move(name);
+  p->fn = std::move(fn);
   p->daemon = daemon;
   p->wake_time = now_rel();
   p->wake_is_deadline = false;
   p->seq = ++ready_seq_;
-  if (opts_.subqueues) {
-    p->group = group >= 0 ? static_cast<std::uint32_t>(group)
-                          : (rr_group_++ & (kDefaultGroups - 1));
-    if (subqueues_.size() <= p->group) subqueues_.resize(p->group + 1);
-  }
+  p->group = group >= 0 ? static_cast<std::uint32_t>(group)
+                        : (rr_group_++ & (kDefaultGroups - 1));
+  if (subqueues_.size() <= p->group) subqueues_.resize(p->group + 1);
   ++live_total_;
   if (!daemon) ++live_nondaemon_;
   procs_.push_back(p);
   EnqueueLocked(p);
-  if (fibers_) {
-    p->fn = std::move(fn);
-    CreateFiber(p);
-    return;
-  }
-  p->thread = std::thread([this, p, fn = std::move(fn)]() {
-    {
-      std::unique_lock<std::mutex> lk2(mu_);
-      while (!p->running) p->cv.wait(lk2);
-      tls_proc = p;
-    }
-    fn();
-    std::unique_lock<std::mutex> lk2(mu_);
-    p->done = true;
-    p->running = false;
-    p->wake_time = kNever;
-    --live_total_;
-    if (!p->daemon && --live_nondaemon_ == 0) InitiateShutdownLocked();
-    current_ = nullptr;
-    ScheduleLocked();
-  });
+  CreateFiber(p);
 }
 
 std::shared_ptr<ChanCore> Engine::MakeChan(
@@ -340,34 +339,37 @@ std::size_t Engine::live_chan_count() {
 }
 
 void* Engine::AllocItem(std::size_t bytes) {
-  if (!item_slab_) return ::operator new(bytes);
   std::lock_guard<std::mutex> lk(slab_mu_);
-  return item_slab_->Alloc(bytes);
+  return item_slab_.Alloc(bytes);
 }
 
 void Engine::FreeItem(void* p, std::size_t bytes) {
-  if (!item_slab_) {
-    ::operator delete(p);
-    return;
-  }
   std::lock_guard<std::mutex> lk(slab_mu_);
-  item_slab_->Free(p, bytes);
+  item_slab_.Free(p, bytes);
 }
 
 SimTime Engine::Run() {
   std::unique_lock<std::mutex> lk(mu_);
   MERMAID_CHECK_MSG(!run_called_, "Engine::Run called twice");
   run_called_ = true;
-  if (live_total_ == 0) {
-    run_done_ = true;
-    return now_rel();
+  fibers_->sched_tsan = TsanCurrentFiber();
+  for (;;) {
+    MERMAID_CHECK(current_ == nullptr);
+    Proc* best = PickNextLocked();
+    if (best == nullptr) {
+      if (live_total_ == 0) break;
+      if (!shutting_down_ && live_nondaemon_ == 0) {
+        InitiateShutdownLocked();
+        continue;  // daemons are now schedulable
+      }
+      DeadlockLocked();
+    }
+    DispatchLocked(best);
+    lk.unlock();
+    SwitchToFiber(best);
+    lk.lock();
   }
-  if (fibers_) {
-    RunFiberLoop(lk);
-  } else {
-    ScheduleLocked();
-    while (!run_done_) run_cv_.wait(lk);
-  }
+  run_done_ = true;
   return now_rel();
 }
 
@@ -376,17 +378,14 @@ void Engine::MakeReadyLocked(Proc* p, SimTime t) {
     p->wake_time = t;
     p->wake_is_deadline = false;
     p->seq = ++ready_seq_;
-    if (opts_.subqueues) {
-      CancelTimerLocked(p);
-      EnqueueLocked(p);
-    }
+    CancelTimerLocked(p);
+    EnqueueLocked(p);
   }
 }
 
 void Engine::EnqueueLocked(Proc* p) {
-  if (!opts_.subqueues) return;
   if (p->done || p->running || p->wake_time == kNever) return;
-  if (opts_.timer_wheel && p->wake_is_deadline) {
+  if (p->wake_is_deadline) {
     p->timer = wheel_.Arm(p->wake_time, p->seq, p);
     return;
   }
@@ -448,7 +447,7 @@ bool Engine::PeekNextLocked(SimTime* t, std::uint64_t* seq) {
   }
   SimTime wt;
   std::uint64_t ws;
-  if (opts_.timer_wheel && wheel_.PeekMin(now_rel(), &wt, &ws)) {
+  if (wheel_.PeekMin(now_rel(), &wt, &ws)) {
     if (!have || wt < *t || (wt == *t && ws < *seq)) {
       *t = wt;
       *seq = ws;
@@ -459,25 +458,12 @@ bool Engine::PeekNextLocked(SimTime* t, std::uint64_t* seq) {
 }
 
 Engine::Proc* Engine::PickNextLocked() {
-  if (!opts_.subqueues) {
-    // Legacy reference scheduler: linear scan, O(processes) per switch.
-    Proc* best = nullptr;
-    for (Proc* p : procs_) {
-      if (p->done || p->running) continue;
-      if (p->wake_time == kNever) continue;
-      if (best == nullptr || p->wake_time < best->wake_time ||
-          (p->wake_time == best->wake_time && p->seq < best->seq)) {
-        best = p;
-      }
-    }
-    return best;
-  }
   SimTime st = 0;
   std::uint64_t ss = 0;
   Proc* sub = PeekSubLocked(&st, &ss);
   SimTime wt;
   std::uint64_t ws;
-  if (opts_.timer_wheel && wheel_.PeekMin(now_rel(), &wt, &ws)) {
+  if (wheel_.PeekMin(now_rel(), &wt, &ws)) {
     if (sub == nullptr || wt < st || (wt == st && ws < ss)) {
       Proc* p = static_cast<Proc*>(wheel_.PopMin(now_rel()));
       p->timer = nullptr;
@@ -503,41 +489,19 @@ void Engine::DispatchLocked(Proc* p) {
   ++switch_count_;
 }
 
-void Engine::ScheduleLocked() {
-  MERMAID_CHECK(current_ == nullptr);
-  for (;;) {
-    Proc* best = PickNextLocked();
-    if (best != nullptr) {
-      DispatchLocked(best);
-      best->cv.notify_one();
-      return;
-    }
-    if (live_total_ == 0) {
-      run_done_ = true;
-      run_cv_.notify_all();
-      return;
-    }
-    if (!shutting_down_ && live_nondaemon_ == 0) {
-      InitiateShutdownLocked();
-      continue;  // daemons are now schedulable
-    }
-    DeadlockLocked();
-  }
-}
-
 void Engine::SwitchOutLocked(std::unique_lock<std::mutex>& lk, Proc* self) {
   MERMAID_CHECK(current_ == self);
-  if (opts_.subqueues && self->wake_time != kNever) {
+  if (self->wake_time != kNever) {
     // Fast resume: if this process's new (wake, seq) is still the global
-    // minimum, the legacy scheduler would pick it right back — skip the
-    // enqueue/pick round-trip (and, in thread mode, the OS handoff).
+    // minimum, the scheduler would pick it right back — skip the
+    // enqueue/pick round-trip and both context swaps.
     SimTime bt;
     std::uint64_t bs;
     if (!PeekNextLocked(&bt, &bs) || self->wake_time < bt ||
         (self->wake_time == bt && self->seq < bs)) {
       now_.store(std::max(now_rel(), self->wake_time),
                  std::memory_order_release);
-      ++switch_count_;  // the legacy scheduler counts this pick too
+      ++switch_count_;  // still a pick: the switch count stays comparable
       ++fast_resume_count_;
       return;
     }
@@ -545,21 +509,11 @@ void Engine::SwitchOutLocked(std::unique_lock<std::mutex>& lk, Proc* self) {
   self->running = false;
   EnqueueLocked(self);
   current_ = nullptr;
-  if (fibers_) {
-    // The scheduler loop owns the lock discipline; a fiber must release the
-    // mutex before swapping (the Run() thread re-acquires it).
-    lk.unlock();
-    SwitchToScheduler(self, /*final_exit=*/false);
-    lk.lock();
-    return;
-  }
-  ScheduleLocked();
-  bool waited = false;
-  while (!self->running) {
-    waited = true;
-    self->cv.wait(lk);
-  }
-  if (waited) ++handoff_count_;
+  // The scheduler loop owns the lock discipline; a fiber must release the
+  // mutex before swapping (the Run() thread re-acquires it).
+  lk.unlock();
+  SwitchToScheduler(self, /*final_exit=*/false);
+  lk.lock();
 }
 
 void Engine::InitiateShutdownLocked() {
@@ -571,10 +525,8 @@ void Engine::InitiateShutdownLocked() {
       p->wake_time = now_rel();
       p->wake_is_deadline = false;
       p->seq = ++ready_seq_;
-      if (opts_.subqueues) {
-        CancelTimerLocked(p);
-        EnqueueLocked(p);
-      }
+      CancelTimerLocked(p);
+      EnqueueLocked(p);
     }
   }
 }
@@ -593,7 +545,7 @@ void Engine::DeadlockLocked() {
 }
 
 // ---------------------------------------------------------------------------
-// Fiber (fast_handoff) machinery.
+// Fiber machinery.
 
 void Engine::FiberTrampoline(unsigned hi, unsigned lo) {
   auto* p = reinterpret_cast<Proc*>((static_cast<std::uintptr_t>(hi) << 32) |
@@ -603,7 +555,7 @@ void Engine::FiberTrampoline(unsigned hi, unsigned lo) {
 
 void Engine::CreateFiber(Proc* p) {
   const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
-  std::size_t usable = opts_.fiber_stack_bytes;
+  std::size_t usable = fiber_stack_bytes_;
   usable = (usable + page - 1) & ~(page - 1);
   const std::size_t total = usable + page;  // + guard page at the low end
   void* base = mmap(nullptr, total, PROT_READ | PROT_WRITE,
@@ -623,33 +575,13 @@ void Engine::CreateFiber(Proc* p) {
   makecontext(&p->uctx, reinterpret_cast<void (*)()>(&Engine::FiberTrampoline),
               2, static_cast<unsigned>(ptr >> 32),
               static_cast<unsigned>(ptr & 0xffffffffu));
-}
-
-void Engine::RunFiberLoop(std::unique_lock<std::mutex>& lk) {
-  for (;;) {
-    MERMAID_CHECK(current_ == nullptr);
-    Proc* best = PickNextLocked();
-    if (best == nullptr) {
-      if (live_total_ == 0) {
-        run_done_ = true;
-        return;
-      }
-      if (!shutting_down_ && live_nondaemon_ == 0) {
-        InitiateShutdownLocked();
-        continue;
-      }
-      DeadlockLocked();
-    }
-    DispatchLocked(best);
-    lk.unlock();
-    SwitchToFiber(best);
-    lk.lock();
-  }
+  p->tsan_fiber = TsanCreateFiber();
 }
 
 void Engine::SwitchToFiber(Proc* p) {
   tls_proc = p;
   AsanStartSwitch(&fibers_->sched_fake, p->stack_lo, p->stack_usable);
+  TsanSwitchToFiber(p->tsan_fiber);
   swapcontext(&fibers_->sched_ctx, &p->uctx);
   AsanFinishSwitch(fibers_->sched_fake, nullptr, nullptr);
   tls_proc = nullptr;
@@ -659,6 +591,7 @@ void Engine::SwitchToScheduler(Proc* p, bool final_exit) {
   // On final exit pass nullptr so ASan releases this fiber's fake stack.
   AsanStartSwitch(final_exit ? nullptr : &p->asan_fake, fibers_->sched_lo,
                   fibers_->sched_sz);
+  TsanSwitchToFiber(fibers_->sched_tsan);
   swapcontext(&p->uctx, &fibers_->sched_ctx);
   AsanFinishSwitch(p->asan_fake, &fibers_->sched_lo, &fibers_->sched_sz);
 }
@@ -668,7 +601,7 @@ void Engine::FiberMain(Proc* p) {
   // stack bounds for the return switch.
   AsanFinishSwitch(nullptr, &fibers_->sched_lo, &fibers_->sched_sz);
   p->fn();
-  p->fn = nullptr;  // release captures on the fiber, like a thread would
+  p->fn = nullptr;  // release captures while still on the fiber
   {
     std::unique_lock<std::mutex> lk(mu_);
     p->done = true;
@@ -686,60 +619,47 @@ void Engine::FiberMain(Proc* p) {
 
 std::string Engine::SchedulerReport() {
   std::unique_lock<std::mutex> lk(mu_);
-  // All knobs off: stay silent so legacy reports are byte-identical to what
-  // they always printed.
-  if (!opts_.subqueues && !opts_.slab && !opts_.fast_handoff) return {};
   char line[320];
   std::string out;
-  std::snprintf(line, sizeof(line),
-                "engine: subqueues=%d timer_wheel=%d slab=%d fast_handoff=%d\n",
-                opts_.subqueues ? 1 : 0, opts_.timer_wheel ? 1 : 0,
-                opts_.slab ? 1 : 0, opts_.fast_handoff ? 1 : 0);
-  out += line;
   std::size_t live_chans = 0;
   for (const auto& w : chans_) {
     if (!w.expired()) ++live_chans;
   }
   std::snprintf(
       line, sizeof(line),
-      "engine: switches=%llu os_handoffs=%llu fast_resumes=%llu procs=%zu "
+      "engine: switches=%llu fast_resumes=%llu procs=%zu "
       "chans_live=%zu chans_created=%llu\n",
       static_cast<unsigned long long>(switch_count_),
-      static_cast<unsigned long long>(handoff_count_),
       static_cast<unsigned long long>(fast_resume_count_), procs_.size(),
       live_chans, static_cast<unsigned long long>(chans_created_));
   out += line;
-  if (opts_.timer_wheel) {
-    const TimerWheel::Stats& ws = wheel_.stats();
-    std::snprintf(line, sizeof(line),
-                  "engine: wheel arms=%llu cancels=%llu fires=%llu "
-                  "cascades=%llu pending=%zu\n",
-                  static_cast<unsigned long long>(ws.arms),
-                  static_cast<unsigned long long>(ws.cancels),
-                  static_cast<unsigned long long>(ws.fires),
-                  static_cast<unsigned long long>(ws.cascades), wheel_.size());
-    out += line;
+  const TimerWheel::Stats& ws = wheel_.stats();
+  std::snprintf(line, sizeof(line),
+                "engine: wheel arms=%llu cancels=%llu fires=%llu "
+                "cascades=%llu pending=%zu\n",
+                static_cast<unsigned long long>(ws.arms),
+                static_cast<unsigned long long>(ws.cancels),
+                static_cast<unsigned long long>(ws.fires),
+                static_cast<unsigned long long>(ws.cascades), wheel_.size());
+  out += line;
+  base::SlabPool::Totals t;
+  {
+    std::lock_guard<std::mutex> slk(slab_mu_);
+    t = item_slab_.totals();
   }
-  if (item_slab_) {
-    base::SlabPool::Totals t;
-    {
-      std::lock_guard<std::mutex> slk(slab_mu_);
-      t = item_slab_->totals();
-    }
-    const base::Slab::Stats& ps = proc_slab_->stats();
-    std::snprintf(line, sizeof(line),
-                  "engine: item slab allocs=%llu frees=%llu high_water=%llu "
-                  "reserved=%llu fallback=%llu; proc slab allocs=%llu "
-                  "reserved=%llu\n",
-                  static_cast<unsigned long long>(t.allocs),
-                  static_cast<unsigned long long>(t.frees),
-                  static_cast<unsigned long long>(t.high_water),
-                  static_cast<unsigned long long>(t.bytes_reserved),
-                  static_cast<unsigned long long>(t.fallback_allocs),
-                  static_cast<unsigned long long>(ps.allocs),
-                  static_cast<unsigned long long>(ps.bytes_reserved));
-    out += line;
-  }
+  const base::Slab::Stats& ps = proc_slab_.stats();
+  std::snprintf(line, sizeof(line),
+                "engine: item slab allocs=%llu frees=%llu high_water=%llu "
+                "reserved=%llu fallback=%llu; proc slab allocs=%llu "
+                "reserved=%llu\n",
+                static_cast<unsigned long long>(t.allocs),
+                static_cast<unsigned long long>(t.frees),
+                static_cast<unsigned long long>(t.high_water),
+                static_cast<unsigned long long>(t.bytes_reserved),
+                static_cast<unsigned long long>(t.fallback_allocs),
+                static_cast<unsigned long long>(ps.allocs),
+                static_cast<unsigned long long>(ps.bytes_reserved));
+  out += line;
   return out;
 }
 

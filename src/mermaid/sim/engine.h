@@ -8,17 +8,15 @@
 // scheduling — repeated runs produce identical event interleavings and
 // identical virtual timings.
 //
-// Two interchangeable scheduler implementations live behind EngineOptions
-// (see DESIGN.md "Engine internals"):
-//   - legacy (all knobs off): one OS thread per process, a linear
-//     O(processes) scan per switch. The reference implementation whose
-//     event order defines correctness.
-//   - scale-out (knobs on): per-group ready heaps + (time, seq) merge heap,
-//     a hierarchical timer wheel for deadline waits, slab-allocated process
-//     records and channel items, and fast-handoff execution where processes
-//     are fibers driven by the Run() thread. Every combination reproduces
-//     the legacy interleaving bit-for-bit; the knobs only change how fast
-//     the same schedule is found.
+// How the minimum is found and control transferred (DESIGN.md §11):
+// processes are user-level fibers driven by the thread that calls Run(),
+// so a switch is a user-space context swap; ready processes sit in
+// per-group heaps (one group per simulated host) merged by a (time, seq)
+// heap; receive deadlines park on a hierarchical timer wheel; process
+// records and channel items come from slabs. The event order equals that
+// of the thread-per-process reference scheduler this engine replaced,
+// frozen as fixtures in the sim_engine, engine_determinism and dsm_rc
+// tests.
 //
 // Lifecycle: Spawn processes (daemon = server loops), then Run(). Run
 // returns when every non-daemon process has finished; at that point all
@@ -26,7 +24,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -34,7 +31,6 @@
 #include <mutex>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "mermaid/base/slab.h"
@@ -73,15 +69,14 @@ class Engine final : public Runtime {
   void FreeItem(void* p, std::size_t bytes) override;
   std::string SchedulerReport() override;
 
-  const EngineOptions& options() const { return opts_; }
-
-  // Number of scheduler handoffs so far; exposed for determinism tests.
-  // Identical across all EngineOptions for the same program.
+  // Number of scheduler picks so far, fast resumes included; the
+  // determinism fixtures freeze it.
   std::uint64_t switch_count() const { return switch_count_; }
-  // Of those, how many actually blocked an OS thread (legacy/thread mode)
-  // and how many short-circuited because the blocking process was still the
-  // global minimum. Implementation metrics, free to differ across knobs.
-  std::uint64_t os_handoff_count() const { return handoff_count_; }
+  // OS-level thread handoffs. Always 0: every process is a fiber on the
+  // Run() thread. Kept for reports that print it next to switch_count().
+  std::uint64_t os_handoff_count() const { return 0; }
+  // Picks that kept running the process that just blocked, because it was
+  // still the global minimum (no context swap at all).
   std::uint64_t fast_resume_count() const { return fast_resume_count_; }
 
   // Channels whose user-side handles are still alive (the engine itself
@@ -127,8 +122,8 @@ class Engine final : public Runtime {
                      std::function<void()> fn, bool daemon);
   // Marks `p` schedulable at time `t` (only ever moves the wake earlier).
   void MakeReadyLocked(Proc* p, SimTime t);
-  // Files `p` under its current (wake_time, seq) into its sub-queue or the
-  // timer wheel (no-op in legacy mode, which re-scans instead).
+  // Files `p` under its current (wake_time, seq) into its sub-queue or, for
+  // a receive deadline, the timer wheel.
   void EnqueueLocked(Proc* p);
   void CancelTimerLocked(Proc* p);
   void PruneSubLocked(MinQ& q);
@@ -139,19 +134,15 @@ class Engine final : public Runtime {
   // (wake_time, seq); nullptr if none.
   Proc* PickNextLocked();
   void DispatchLocked(Proc* p);
-  // Picks and resumes the next process; called with no process running.
-  void ScheduleLocked();
   // Blocks the calling process until the scheduler resumes it.
   void SwitchOutLocked(std::unique_lock<std::mutex>& lk, Proc* self);
   void InitiateShutdownLocked();
   [[noreturn]] void DeadlockLocked();
   void PruneChansLocked();
-  Proc* NewProcLocked();
   void DestroyProcs();
-  // Fiber (fast_handoff) machinery: processes run as ucontext fibers driven
-  // by the Run() thread.
+  // Fiber machinery: each process is a ucontext fiber; the Run() thread's
+  // own context is the scheduler every fiber switches back to.
   void CreateFiber(Proc* p);
-  void RunFiberLoop(std::unique_lock<std::mutex>& lk);
   void SwitchToFiber(Proc* p);
   void SwitchToScheduler(Proc* p, bool final_exit);
   void FiberMain(Proc* p);
@@ -159,9 +150,8 @@ class Engine final : public Runtime {
 
   SimTime now_rel() const { return now_.load(std::memory_order_relaxed); }
 
-  const EngineOptions opts_;
+  const std::size_t fiber_stack_bytes_;
   std::mutex mu_;
-  std::condition_variable run_cv_;
   std::vector<Proc*> procs_;
   std::vector<std::weak_ptr<SimChan>> chans_;
   std::size_t chan_prune_at_ = 64;
@@ -174,7 +164,6 @@ class Engine final : public Runtime {
   std::uint64_t ready_seq_ = 0;
   std::uint64_t push_seq_ = 0;
   std::uint64_t switch_count_ = 0;
-  std::uint64_t handoff_count_ = 0;
   std::uint64_t fast_resume_count_ = 0;
   int live_nondaemon_ = 0;
   int live_total_ = 0;
@@ -183,15 +172,14 @@ class Engine final : public Runtime {
   bool run_called_ = false;
   trace::Tracer* tracer_ = nullptr;
 
-  // Scale-out structures (unused in legacy mode).
   std::vector<MinQ> subqueues_;
   MergeQ merge_;
   std::uint32_t rr_group_ = 0;
   TimerWheel wheel_;
   std::unique_ptr<FiberState> fibers_;
-  std::unique_ptr<base::Slab> proc_slab_;
+  base::Slab proc_slab_;
   std::mutex slab_mu_;  // item slab only: Send may run outside mu_
-  std::unique_ptr<base::SlabPool> item_slab_;
+  base::SlabPool item_slab_;
 };
 
 }  // namespace mermaid::sim

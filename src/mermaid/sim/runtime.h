@@ -3,7 +3,8 @@
 // The entire Mermaid stack (network, DSM protocol, sync, applications) is
 // written against this interface and blocks *only* by receiving on a Chan.
 // Two bindings exist:
-//   - sim::Engine   — deterministic discrete-event virtual time (primary;
+//   - sim::Engine   — deterministic discrete-event virtual time, every
+//                     process a user-level fiber on one OS thread (primary;
 //                     used by all benchmarks and most tests), and
 //   - sim::RealTimeRuntime — plain OS threads and the wall clock, proving
 //                     the protocol code is not simulation-bound.
@@ -26,37 +27,17 @@ class Tracer;
 
 namespace mermaid::sim {
 
-// Scheduler options for the virtual-time Engine binding (sim/engine.h);
-// other Runtime bindings ignore them. Everything defaults off, so a
-// default-constructed Engine is the legacy reference scheduler whose event
-// order calibrates every table — each knob is proven bit-identical to it by
-// the determinism regression suite (see DESIGN.md "Engine internals").
+// Options for the virtual-time Engine binding (sim/engine.h); other
+// Runtime bindings ignore them. The engine has one scheduler (DESIGN.md
+// §11), so the only setting left is how much stack each fiber gets.
 struct EngineOptions {
-  // Per-group ready heaps merged by a (time, seq) heap, replacing the
-  // O(processes) scheduler scan. Groups come from Runtime::SpawnOn (one per
-  // simulated host); ungrouped processes are spread round-robin.
-  bool subqueues = false;
-  // Hierarchical timer wheel for deadline waits (RecvUntil): O(1) arm and
-  // O(1) cancel-before-fire. Requires subqueues (implied when set).
-  bool timer_wheel = false;
-  // Slab allocation for process records and channel items.
-  bool slab = false;
-  // Fast handoff: processes run as user-level fibers driven by the Run()
-  // thread instead of one OS thread each, so a scheduler switch is a
-  // user-space context swap — OS handoffs per simulated event drop to ~0.
-  bool fast_handoff = false;
-  // Usable stack per fiber (only with fast_handoff). Each fiber maps this
-  // plus a guard page; memory is committed on touch.
+  // Usable stack per simulated process. Each fiber maps this plus a guard
+  // page; memory is committed on touch.
   std::size_t fiber_stack_bytes = 512 * 1024;
 
-  static EngineOptions AllOn() {
-    EngineOptions o;
-    o.subqueues = o.timer_wheel = o.slab = o.fast_handoff = true;
-    return o;
-  }
-  // MERMAID_ENGINE=opt|all|fast -> AllOn(); unset/legacy -> defaults.
-  // Lets soak drivers (longchaos) opt in without a flag change.
-  static EngineOptions FromEnv();
+  // The defaults. perfbench's `--engine allon` and `--digest` name this,
+  // from when the fast scheduler was opt-in.
+  static EngineOptions AllOn() { return {}; }
 };
 
 // Type-erased channel core. Items are heap-allocated by the typed wrapper;
@@ -111,8 +92,8 @@ class Runtime {
       std::function<void(void*)> deleter) = 0;
 
   // Allocation hooks for channel items (every Chan<T>::Send allocates one
-  // record per message). The engine overrides these with a slab when its
-  // slab knob is on; the defaults are plain operator new/delete.
+  // record per message). The engine overrides these with a slab; the
+  // defaults are plain operator new/delete.
   virtual void* AllocItem(std::size_t bytes) { return ::operator new(bytes); }
   virtual void FreeItem(void* p, std::size_t bytes) {
     (void)bytes;
@@ -121,7 +102,7 @@ class Runtime {
 
   // Human-readable scheduler/allocator internals (switch counts, wheel and
   // slab stats). Folded into System::ReportStats; never part of
-  // GatherStats, whose output must not depend on scheduler knobs.
+  // GatherStats, whose output must not depend on the runtime binding.
   virtual std::string SchedulerReport() { return {}; }
 
   // Attaches a protocol tracer so the runtime can record scheduling events

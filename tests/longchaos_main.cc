@@ -75,9 +75,7 @@ void DumpTraceOnAbort(int) {
 }  // namespace
 
 int Run(std::uint64_t seed, double sim_seconds) {
-  // MERMAID_ENGINE=opt turns on the scale-out scheduler; protocol behavior
-  // (and the soak's invariant checks) are bit-identical either way.
-  sim::Engine eng(sim::EngineOptions::FromEnv());
+  sim::Engine eng;
   dsm::System sys(eng, SoakConfig(seed),
                   {&arch::Sun3Profile(), &arch::FireflyProfile(),
                    &arch::FireflyProfile(), &arch::Sun3Profile()});
