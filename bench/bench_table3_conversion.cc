@@ -11,7 +11,10 @@
 //   1. the modeled virtual-time costs (what the DSM engine charges when a
 //      page crosses representations), checked against the paper, and
 //   2. google-benchmark timings of the *real* conversion routines on the
-//      build machine — the codecs actually execute on every transfer.
+//      build machine — the codecs actually execute on every transfer —
+//      and of the typed accessors' block kernels, which run on every
+//      ReadBlock/WriteBlock page run.
+#include <cstdint>
 #include <cstdio>
 #include <vector>
 
@@ -55,6 +58,83 @@ BENCHMARK_TEMPLATE(BM_ConvertPage, Reg::kInt)->Arg(8192)->Arg(1024);
 BENCHMARK_TEMPLATE(BM_ConvertPage, Reg::kShort)->Arg(8192)->Arg(1024);
 BENCHMARK_TEMPLATE(BM_ConvertPage, Reg::kFloat)->Arg(8192)->Arg(1024);
 BENCHMARK_TEMPLATE(BM_ConvertPage, Reg::kDouble)->Arg(8192)->Arg(1024);
+
+// The paper's user record (3 int, 3 float, 4 short): each field converts as
+// one run of its basic kind.
+void BM_ConvertPageRecord(benchmark::State& state) {
+  Reg reg;
+  const arch::TypeId rec = reg.RegisterRecord(
+      "paper_record", {{Reg::kInt, 3}, {Reg::kFloat, 3}, {Reg::kShort, 4}});
+  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
+  const std::size_t count = bytes / reg.SizeOf(rec);
+  std::vector<std::uint8_t> page(bytes);
+  base::Rng rng(1);
+  for (auto& b : page) b = static_cast<std::uint8_t>(rng.NextU64());
+  auto ctx = SunToFfly();
+  for (auto _ : state) {
+    reg.ConvertBuffer(rec, page, count, ctx);
+    benchmark::DoNotOptimize(page.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(count));
+}
+
+BENCHMARK(BM_ConvertPageRecord)->Arg(8192);
+
+// The typed accessors' block kernels (Host::ReadBlock/WriteBlock run one
+// per page run): decoding an 8 KB page of a host's memory image into native
+// values, and encoding it back. On a Firefly, int is a memcpy and float and
+// double run the VAX codecs; on a Sun every kind is a byte swap.
+const arch::ArchProfile& HostFor(int sun) {
+  return sun != 0 ? benchutil::Sun() : benchutil::Ffly();
+}
+
+template <typename T>
+std::vector<T> PageValues() {
+  std::vector<T> v(8192 / sizeof(T));
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<T>(static_cast<int>(i % 19) - 9) / T{4};
+  }
+  return v;
+}
+
+template <typename T>
+void BM_LoadBlock(benchmark::State& state) {
+  const arch::ArchProfile& host = HostFor(static_cast<int>(state.range(0)));
+  const std::vector<T> values = PageValues<T>();
+  std::vector<std::uint8_t> image(8192);
+  arch::StoreBlock<T>(host, image.data(), values.data(), values.size());
+  std::vector<T> out(values.size());
+  for (auto _ : state) {
+    arch::LoadBlock<T>(host, image.data(), out.size(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(out.size()));
+}
+
+template <typename T>
+void BM_StoreBlock(benchmark::State& state) {
+  const arch::ArchProfile& host = HostFor(static_cast<int>(state.range(0)));
+  const std::vector<T> values = PageValues<T>();
+  std::vector<std::uint8_t> image(8192);
+  for (auto _ : state) {
+    arch::StoreBlock<T>(host, image.data(), values.data(), values.size());
+    benchmark::DoNotOptimize(image.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(values.size()));
+}
+
+// Arg 0 = Firefly, 1 = Sun.
+BENCHMARK_TEMPLATE(BM_LoadBlock, std::int32_t)->ArgName("sun")->Arg(0)->Arg(1);
+BENCHMARK_TEMPLATE(BM_LoadBlock, float)->ArgName("sun")->Arg(0)->Arg(1);
+BENCHMARK_TEMPLATE(BM_LoadBlock, double)->ArgName("sun")->Arg(0)->Arg(1);
+BENCHMARK_TEMPLATE(BM_StoreBlock, std::int32_t)->ArgName("sun")->Arg(0)->Arg(1);
+BENCHMARK_TEMPLATE(BM_StoreBlock, float)->ArgName("sun")->Arg(0)->Arg(1);
+BENCHMARK_TEMPLATE(BM_StoreBlock, double)->ArgName("sun")->Arg(0)->Arg(1);
 
 void PrintModeledTable(benchutil::JsonReport& report) {
   Reg reg;

@@ -1,8 +1,5 @@
 #include "mermaid/arch/type_registry.h"
 
-#include <bit>
-#include <cstring>
-
 #include "mermaid/base/bytes.h"
 #include "mermaid/base/check.h"
 
@@ -27,34 +24,68 @@ std::size_t BasicSize(BasicKind k) {
   return 0;
 }
 
-template <typename U>
-void SwapInPlace(std::uint8_t* p) {
-  U v;
-  std::memcpy(&v, p, sizeof(U));
-  v = base::ByteSwap(v);
-  std::memcpy(p, &v, sizeof(U));
+// Same-format floats pass through (VAX images are byte-defined, IEEE
+// follows byte order); otherwise one VAX codec kernel runs over the block.
+template <typename W>
+void ConvertFloats(std::uint8_t* p, std::size_t count, std::size_t stride,
+                   const ConvertContext& ctx) {
+  const ArchProfile& src = *ctx.src;
+  const ArchProfile& dst = *ctx.dst;
+  if (src.float_format == dst.float_format) {
+    if (src.float_format == FloatFormat::kIeee754 &&
+        src.byte_order != dst.byte_order) {
+      codec::SwapBlock<W>(p, stride, p, stride, count);
+    }
+  } else if (src.float_format == FloatFormat::kVax) {
+    codec::DecodeVaxBlock<W>(p, stride, p, stride, count, dst.byte_order,
+                             ctx.stats);
+  } else {
+    codec::EncodeVaxBlock<W>(p, stride, p, stride, count, src.byte_order,
+                             ctx.stats);
+  }
 }
 
-}  // namespace
-
-void ConvertStats::Record(VaxConvertResult r) {
-  switch (r) {
-    case VaxConvertResult::kExact:
+// Converts `count` elements of basic kind `k` placed `stride` bytes apart,
+// in place, choosing the kernel once for the whole run.
+void ConvertBasic(BasicKind k, std::uint8_t* p, std::size_t count,
+                  std::size_t stride, const ConvertContext& ctx) {
+  const bool swap = ctx.src->byte_order != ctx.dst->byte_order;
+  switch (k) {
+    case BasicKind::kChar:
+      break;  // character data needs no conversion (Fig. 2)
+    case BasicKind::kShort:
+      if (swap) codec::SwapBlock<std::uint16_t>(p, stride, p, stride, count);
       break;
-    case VaxConvertResult::kUnderflowedToZero:
-      ++underflowed_to_zero;
+    case BasicKind::kInt:
+      if (swap) codec::SwapBlock<std::uint32_t>(p, stride, p, stride, count);
       break;
-    case VaxConvertResult::kClampedOverflow:
-      ++clamped_overflow;
+    case BasicKind::kLong:
+      if (swap) codec::SwapBlock<std::uint64_t>(p, stride, p, stride, count);
       break;
-    case VaxConvertResult::kClampedSpecial:
-      ++clamped_special;
+    case BasicKind::kPointer: {
+      // Byte swap + relocation delta, element by element.
+      const base::ByteOrder src = ctx.src->byte_order;
+      const base::ByteOrder dst = ctx.dst->byte_order;
+      const std::int64_t delta = ctx.pointer_delta;
+      codec::Map<std::uint64_t>(p, stride, p, stride, count,
+                                [=](std::uint64_t v) {
+        if (src != base::NativeOrder()) v = base::ByteSwap(v);
+        v += static_cast<std::uint64_t>(delta);  // two's-complement add
+        if (dst != base::NativeOrder()) v = base::ByteSwap(v);
+        return v;
+      });
       break;
-    case VaxConvertResult::kReservedOperand:
-      ++reserved_operand;
+    }
+    case BasicKind::kFloat:
+      ConvertFloats<std::uint32_t>(p, count, stride, ctx);
+      break;
+    case BasicKind::kDouble:
+      ConvertFloats<std::uint64_t>(p, count, stride, ctx);
       break;
   }
 }
+
+}  // namespace
 
 TypeRegistry::TypeRegistry() {
   auto add_basic = [this](const char* name, BasicKind k) {
@@ -145,87 +176,24 @@ SimDuration TypeRegistry::ModeledElementCost(const ArchProfile& host,
                                   (static_cast<double>(info.size) / 4.0));
 }
 
-void TypeRegistry::ConvertElement(const TypeInfo& info, std::uint8_t* p,
-                                  const ConvertContext& ctx) const {
-  const ArchProfile& src = *ctx.src;
-  const ArchProfile& dst = *ctx.dst;
-  const bool swap = src.byte_order != dst.byte_order;
-
-  if (info.custom) {
-    info.custom(std::span<std::uint8_t>(p, info.size), ctx);
+void TypeRegistry::ConvertRun(const TypeInfo& info, std::uint8_t* p,
+                              std::size_t count, std::size_t stride,
+                              const ConvertContext& ctx) const {
+  if (info.is_basic) {
+    ConvertBasic(info.basic, p, count, stride, ctx);
     return;
   }
-  if (!info.is_basic) {
+  for (std::size_t i = 0; i < count; ++i, p += stride) {
+    if (info.custom) {
+      info.custom(std::span<std::uint8_t>(p, info.size), ctx);
+      continue;
+    }
+    // A record converts field by field, each field's elements as one run.
     std::uint8_t* q = p;
     for (const Field& f : info.fields) {
       const TypeInfo& ft = types_[f.type];
-      for (std::uint32_t i = 0; i < f.count; ++i) {
-        ConvertElement(ft, q, ctx);
-        q += ft.size;
-      }
-    }
-    return;
-  }
-  switch (info.basic) {
-    case BasicKind::kChar:
-      break;  // character data needs no conversion (Fig. 2)
-    case BasicKind::kShort:
-      if (swap) SwapInPlace<std::uint16_t>(p);
-      break;
-    case BasicKind::kInt:
-      if (swap) SwapInPlace<std::uint32_t>(p);
-      break;
-    case BasicKind::kLong:
-      if (swap) SwapInPlace<std::uint64_t>(p);
-      break;
-    case BasicKind::kPointer: {
-      std::uint64_t v = 0;
-      std::memcpy(&v, p, 8);
-      if (src.byte_order != base::NativeOrder()) v = base::ByteSwap(v);
-      v = static_cast<std::uint64_t>(static_cast<std::int64_t>(v) +
-                                     ctx.pointer_delta);
-      if (dst.byte_order != base::NativeOrder()) v = base::ByteSwap(v);
-      std::memcpy(p, &v, 8);
-      break;
-    }
-    case BasicKind::kFloat: {
-      if (src.float_format == dst.float_format) {
-        // Same format; VAX images are byte-defined, IEEE follows byte order.
-        if (src.float_format == FloatFormat::kIeee754 && swap) {
-          SwapInPlace<std::uint32_t>(p);
-        }
-        break;
-      }
-      if (src.float_format == FloatFormat::kVax) {
-        float f = 0;
-        VaxConvertResult r = VaxFToIeee(p, &f);
-        if (ctx.stats != nullptr) ctx.stats->Record(r);
-        base::StoreAs(p, std::bit_cast<std::uint32_t>(f), dst.byte_order);
-      } else {
-        auto bits = base::LoadAs<std::uint32_t>(p, src.byte_order);
-        VaxConvertResult r = IeeeToVaxF(std::bit_cast<float>(bits), p);
-        if (ctx.stats != nullptr) ctx.stats->Record(r);
-      }
-      break;
-    }
-    case BasicKind::kDouble: {
-      if (src.float_format == dst.float_format) {
-        if (src.float_format == FloatFormat::kIeee754 && swap) {
-          SwapInPlace<std::uint64_t>(p);
-        }
-        break;
-      }
-      if (src.float_format == FloatFormat::kVax) {
-        double d = 0;
-        VaxConvertResult r = VaxDToIeee(p, &d);
-        if (ctx.stats != nullptr) ctx.stats->Record(r);
-        base::StoreAs(p, std::bit_cast<std::uint64_t>(d), dst.byte_order);
-      } else {
-        auto bits = base::LoadAs<std::uint64_t>(p, src.byte_order);
-        VaxConvertResult r = IeeeToVaxD(std::bit_cast<double>(bits), p);
-        if (ctx.stats != nullptr) ctx.stats->Record(r);
-      }
-      break;
+      ConvertRun(ft, q, f.count, ft.size, ctx);
+      q += ft.size * f.count;
     }
   }
 }
@@ -245,10 +213,7 @@ void TypeRegistry::ConvertStrided(TypeId t, std::span<std::uint8_t> data,
   MERMAID_CHECK(stride >= info.size);
   if (count == 0) return;
   MERMAID_CHECK(data.size() >= (count - 1) * stride + info.size);
-  std::uint8_t* p = data.data();
-  for (std::size_t i = 0; i < count; ++i, p += stride) {
-    ConvertElement(info, p, ctx);
-  }
+  ConvertRun(info, data.data(), count, stride, ctx);
 }
 
 }  // namespace mermaid::arch

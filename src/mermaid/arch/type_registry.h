@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "mermaid/arch/arch.h"
-#include "mermaid/arch/vaxfloat.h"
+#include "mermaid/arch/codec.h"
 #include "mermaid/base/stats.h"
 #include "mermaid/base/time.h"
 
@@ -45,20 +45,6 @@ enum class BasicKind : std::uint8_t {
 struct Field {
   TypeId type;
   std::uint32_t count = 1;
-};
-
-// Counters for lossy conversion events (NaN/Inf clamps, underflows, ...).
-struct ConvertStats {
-  std::int64_t underflowed_to_zero = 0;
-  std::int64_t clamped_overflow = 0;
-  std::int64_t clamped_special = 0;
-  std::int64_t reserved_operand = 0;
-
-  std::int64_t total_lossy() const {
-    return underflowed_to_zero + clamped_overflow + clamped_special +
-           reserved_operand;
-  }
-  void Record(VaxConvertResult r);
 };
 
 // Everything a conversion routine needs to know about the transfer, matching
@@ -128,8 +114,9 @@ class TypeRegistry {
     CustomConverter custom;           // for custom types
   };
 
-  void ConvertElement(const TypeInfo& info, std::uint8_t* p,
-                      const ConvertContext& ctx) const;
+  // Converts `count` elements of `info` placed `stride` bytes apart.
+  void ConvertRun(const TypeInfo& info, std::uint8_t* p, std::size_t count,
+                  std::size_t stride, const ConvertContext& ctx) const;
 
   std::vector<TypeInfo> types_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdio>
 #include <cstring>
 #include <utility>
 
@@ -298,6 +299,20 @@ net::Endpoint::CallOpts Host::DsmCallOpts() const {
 // --------------------------------------------------------------------------
 // Fault path
 // --------------------------------------------------------------------------
+
+PageNum Host::EnsureElementAccess(GlobalAddr addr, std::size_t size,
+                                  Access needed) {
+  const PageNum p = PageOf(addr);
+  if ((static_cast<GlobalAddr>(p) + 1) * page_bytes_ - addr < size) {
+    std::fprintf(stderr,
+                 "note: typed access straddles a DSM page: %zu-byte element "
+                 "at address %llu, page size %u\n",
+                 size, static_cast<unsigned long long>(addr), page_bytes_);
+    base::CheckFailed("element within one DSM page", __FILE__, __LINE__);
+  }
+  EnsureAccess(p, needed);
+  return p;
+}
 
 void Host::EnsureAccess(PageNum p, Access needed) {
   for (;;) {

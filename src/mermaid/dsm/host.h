@@ -71,9 +71,8 @@ class Host {
   // the page (group) transparently when access is insufficient.
   template <typename T>
   T Read(GlobalAddr addr) {
-    const PageNum p = PageOf(addr);
     for (;;) {
-      EnsureAccess(p, Access::kRead);
+      const PageNum p = EnsureElementAccess(addr, sizeof(T), Access::kRead);
       std::lock_guard<std::mutex> lk(state_mu_);
       // Access can be lost between EnsureAccess and this lock (an
       // invalidation, or a release-consistency flush demoting the page);
@@ -89,9 +88,8 @@ class Host {
 
   template <typename T>
   void Write(GlobalAddr addr, T value) {
-    const PageNum p = PageOf(addr);
     for (;;) {
-      EnsureAccess(p, Access::kWrite);
+      const PageNum p = EnsureElementAccess(addr, sizeof(T), Access::kWrite);
       std::lock_guard<std::mutex> lk(state_mu_);
       if (ptable_.Local(p).access < Access::kWrite) continue;
       if (cfg_.referee_check_access && referee_ != nullptr) {
@@ -105,15 +103,15 @@ class Host {
 
   // Bulk typed access: semantically identical to element-wise Read/Write
   // loops (same faults, same page-granularity coherence, same
-  // representation decoding) but amortizes the access-check cost — the
-  // simulated equivalent of a tight load/store loop of native instructions.
-  // Elements must not straddle DSM pages (the typed allocator guarantees
-  // power-of-two strides, so they never do).
+  // representation decoding) but amortizes the access check and runs one
+  // block codec kernel per page run — the simulated equivalent of a tight
+  // load/store loop of native instructions. Elements must not straddle DSM
+  // pages (the typed allocator guarantees power-of-two strides, so they
+  // never do).
   template <typename T>
   void ReadBlock(GlobalAddr addr, std::size_t count, T* out) {
     while (count > 0) {
-      const PageNum p = PageOf(addr);
-      EnsureAccess(p, Access::kRead);
+      const PageNum p = EnsureElementAccess(addr, sizeof(T), Access::kRead);
       const GlobalAddr page_end =
           (static_cast<GlobalAddr>(p) + 1) * page_bytes_;
       const std::size_t n =
@@ -125,10 +123,7 @@ class Host {
           referee_->CheckAccess(self_, p, ptable_.Local(p).version,
                                 Access::kRead);
         }
-        for (std::size_t i = 0; i < n; ++i) {
-          out[i] = arch::LoadScalar<T>(*profile_,
-                                       mem_.data() + addr + i * sizeof(T));
-        }
+        arch::LoadBlock<T>(*profile_, mem_.data() + addr, n, out);
       }
       out += n;
       addr += n * sizeof(T);
@@ -139,8 +134,7 @@ class Host {
   template <typename T>
   void WriteBlock(GlobalAddr addr, const T* in, std::size_t count) {
     while (count > 0) {
-      const PageNum p = PageOf(addr);
-      EnsureAccess(p, Access::kWrite);
+      const PageNum p = EnsureElementAccess(addr, sizeof(T), Access::kWrite);
       const GlobalAddr page_end =
           (static_cast<GlobalAddr>(p) + 1) * page_bytes_;
       const std::size_t n =
@@ -152,10 +146,7 @@ class Host {
           referee_->CheckAccess(self_, p, ptable_.Local(p).version,
                                 Access::kWrite);
         }
-        for (std::size_t i = 0; i < n; ++i) {
-          arch::StoreScalar<T>(*profile_,
-                               mem_.data() + addr + i * sizeof(T), in[i]);
-        }
+        arch::StoreBlock<T>(*profile_, mem_.data() + addr, in, n);
       }
       in += n;
       addr += n * sizeof(T);
@@ -300,6 +291,13 @@ class Host {
 
   // --- fault path ---------------------------------------------------------
   void EnsureAccess(PageNum p, Access needed);
+  // EnsureAccess for the page holding the `size`-byte element at `addr`;
+  // returns that page. An element that straddles two DSM pages fails
+  // loudly: a block accessor would find no whole element left in the page
+  // and spin, and a scalar one would touch the next page's bytes without
+  // that page's access check.
+  PageNum EnsureElementAccess(GlobalAddr addr, std::size_t size,
+                              Access needed);
   // One VM-level fault: acquires every DSM page of the enclosing VM page
   // that lacks `needed` access.
   void FaultGroup(PageNum p, Access needed);

@@ -1,6 +1,9 @@
 // Unit tests of DSM internals: page-table role assignment, the coherence
 // referee's violation detection, and host-level protocol robustness against
 // malformed traffic.
+#include <functional>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "mermaid/dsm/directory.h"
@@ -154,6 +157,64 @@ TEST(Robustness, FaultGroupClampsAtRegionEnd) {
     EXPECT_EQ(sys.host(1).stats().Count("dsm.read_faults"), 5);
   });
   eng.Run();
+}
+
+// A typed access whose element straddles two DSM pages fails loudly. The
+// block accessors would otherwise spin with no whole element left in the
+// page, and the scalar ones would touch the next page's bytes without that
+// page's access check.
+void RunOnOneSun(std::function<void(Host&)> body) {
+  sim::Engine eng;
+  SystemConfig cfg;
+  cfg.region_bytes = 64 * 1024;
+  System sys(eng, cfg, {&arch::Sun3Profile()});
+  sys.Start();
+  sys.SpawnThread(0, "app", std::move(body));
+  eng.Run();
+}
+
+TEST(TypedAccessDeathTest, ReadBlockStraddlingPagesDies) {
+  ASSERT_DEATH(RunOnOneSun([](Host& h) {
+                 double out[2];
+                 h.ReadBlock<double>(h.page_bytes() - 4, 2, out);
+               }),
+               "typed access straddles a DSM page");
+}
+
+TEST(TypedAccessDeathTest, WriteBlockStraddlingPagesDies) {
+  ASSERT_DEATH(RunOnOneSun([](Host& h) {
+                 const std::int32_t in[3] = {1, 2, 3};
+                 h.WriteBlock<std::int32_t>(2 * h.page_bytes() - 2, in, 3);
+               }),
+               "typed access straddles a DSM page");
+}
+
+TEST(TypedAccessDeathTest, ReadStraddlingPagesDies) {
+  ASSERT_DEATH(RunOnOneSun([](Host& h) {
+                 (void)h.Read<std::int64_t>(h.page_bytes() - 1);
+               }),
+               "typed access straddles a DSM page");
+}
+
+TEST(TypedAccessDeathTest, WriteStraddlingPagesDies) {
+  ASSERT_DEATH(RunOnOneSun([](Host& h) {
+                 h.Write<float>(h.page_bytes() - 2, 1.5f);
+               }),
+               "typed access straddles a DSM page");
+}
+
+// The same accessors at a page's last whole element stay in that page.
+TEST(TypedAccess, LastElementOfAPageIsAccessible) {
+  RunOnOneSun([](Host& h) {
+    const GlobalAddr last = h.page_bytes() - 8;
+    h.Write<double>(last, 2.5);
+    EXPECT_EQ(h.Read<double>(last), 2.5);
+    const double in[3] = {1.0, 2.0, 3.0};
+    h.WriteBlock<double>(last - 16, in, 3);
+    double out[3] = {};
+    h.ReadBlock<double>(last - 16, 3, out);
+    EXPECT_EQ(out[2], 3.0);
+  });
 }
 
 }  // namespace
