@@ -687,46 +687,16 @@ Host::FaultOutcome Host::FaultViaRemoteManager(
     // amnesia. Report the loss so the manager repairs its entry (promotes a
     // surviving copy or applies the lost-page policy), then refault.
     stats_.Inc("dsm.owner_lost_observed");
-    base::WireWriter lw;
-    lw.U32(p);
-    lw.U64(reply.op_id);
-    lw.U16(reply.owner);
-    endpoint_.CallWithStatus(mgr, kOpPageLost, std::move(lw).Take(),
+    endpoint_.CallWithStatus(mgr, kOpPageLost,
+                             EncodePageLost(p, reply.op_id, reply.owner),
                              net::MsgKind::kControl, DsmCallOpts());
     return FaultOutcome::kRetry;
   }
   {
     std::lock_guard<std::mutex> lk(state_mu_);
-    if (fenced_.count({p, reply.op_id}) > 0) {
-      // We disowned this grant when a confirm-probe caught us without it;
-      // the manager revoked it, so this late reply must not be installed.
-      stats_.Inc("dsm.fenced_replies");
+    if (!AcceptGrantLocked(p, is_write, reply, mgr, life)) {
       return FaultOutcome::kRetry;
     }
-    if (cfg_.crash_recovery && life != life_) {
-      // We crashed while this reply was in flight. The wipe already cleared
-      // inflight_ops_; registering now would plant a phantom op in the fresh
-      // incarnation that answers confirm-probes "still working" forever and
-      // gets adopted as busy by manager rebuilds. Leave the grant to the
-      // manager's probe/lease reclaim.
-      stats_.Inc("dsm.fenced_replies");
-      return FaultOutcome::kRetry;
-    }
-    if (cfg_.crash_recovery &&
-        (reply.op_id >> 48) < endpoint_.PeerIncarnation(mgr)) {
-      // The granting manager has reincarnated since issuing this grant: its
-      // rebuilt map knows nothing of the op, so installing would create a
-      // holder invisible to the reconstruction. Refault against the rebuilt
-      // manager instead.
-      stats_.Inc("dsm.dead_epoch_grants");
-      return FaultOutcome::kRetry;
-    }
-    inflight_ops_[{p, reply.op_id}] = InflightOp{is_write, reply.new_version};
-    if (cfg_.probable_owner) {
-      const net::HostId learned = is_write ? self_ : reply.owner;
-      ptable_.SetHint(p, learned, IncOf(learned));
-    }
-    if (dir_.dynamic()) dir_.LearnManager(p, mgr, IncOf(mgr));
   }
   // Hop count: served by the manager itself (or an upgrade) is request +
   // reply; a forward to the owner adds the third leg (R -> M -> O -> R).
@@ -750,11 +720,9 @@ Host::FaultOutcome Host::FaultViaRemoteManager(
       // manager unbusies now instead of at lease expiry, then refault (the
       // retry reports has_copy honestly, so data will be served). A lost
       // notify costs only the lease wait; the janitor probe reclaims it.
-      base::WireWriter rw;
-      rw.U32(p);
-      rw.U64(reply.op_id);
-      rw.U8(1);  // no_copy: the disclaim is a live "nothing here" statement
-      endpoint_.Notify(mgr, kOpGrantReject, std::move(rw).Take());
+      // no_copy: the disclaim is a live "nothing here" statement.
+      endpoint_.Notify(mgr, kOpGrantReject,
+                       EncodeGrantReject(p, reply.op_id, /*no_copy=*/true));
       return FaultOutcome::kRetry;
     }
     case TransferResult::kOk:
@@ -766,13 +734,7 @@ Host::FaultOutcome Host::FaultViaRemoteManager(
     return FaultOutcome::kDone;
   }
   RecordCompleted(p, reply.op_id, mgr, is_write);
-
-  base::WireWriter cw;
-  cw.U32(p);
-  cw.U64(reply.op_id);
-  cw.U16(self_);
-  cw.U8(is_write ? 1 : 0);
-  endpoint_.Notify(mgr, kOpConfirm, std::move(cw).Take());
+  endpoint_.Notify(mgr, kOpConfirm, EncodeConfirm(p, reply.op_id, is_write));
   return FaultOutcome::kDone;
 }
 
@@ -899,35 +861,16 @@ std::optional<Host::FaultOutcome> Host::FaultViaHint(PageNum p,
   stats_.Inc("dsm.hint_stale_replies");
   if (reply.owner_lost) {
     stats_.Inc("dsm.owner_lost_observed");
-    base::WireWriter lw;
-    lw.U32(p);
-    lw.U64(reply.op_id);
-    lw.U16(reply.owner);
-    endpoint_.CallWithStatus(mgr, kOpPageLost, std::move(lw).Take(),
+    endpoint_.CallWithStatus(mgr, kOpPageLost,
+                             EncodePageLost(p, reply.op_id, reply.owner),
                              net::MsgKind::kControl, DsmCallOpts());
     return FaultOutcome::kRetry;
   }
   {
     std::lock_guard<std::mutex> lk(state_mu_);
-    if (fenced_.count({p, reply.op_id}) > 0) {
-      stats_.Inc("dsm.fenced_replies");
+    if (!AcceptGrantLocked(p, /*is_write=*/false, reply, mgr, life)) {
       return FaultOutcome::kRetry;
     }
-    if (cfg_.crash_recovery && life != life_) {
-      // Crashed mid-flight: see FaultViaRemoteManager — registering would
-      // leak a phantom inflight op into the fresh incarnation.
-      stats_.Inc("dsm.fenced_replies");
-      return FaultOutcome::kRetry;
-    }
-    if (cfg_.crash_recovery &&
-        (reply.op_id >> 48) < endpoint_.PeerIncarnation(mgr)) {
-      stats_.Inc("dsm.dead_epoch_grants");
-      return FaultOutcome::kRetry;
-    }
-    inflight_ops_[{p, reply.op_id}] =
-        InflightOp{/*is_write=*/false, reply.new_version};
-    ptable_.SetHint(p, reply.owner, IncOf(reply.owner));
-    if (dir_.dynamic()) dir_.LearnManager(p, mgr, IncOf(mgr));
   }
   switch (CompleteTransfer(p, /*is_write=*/false, reply, nullptr, life)) {
     case TransferResult::kShutdown: {
@@ -937,24 +880,16 @@ std::optional<Host::FaultOutcome> Host::FaultViaHint(PageNum p,
     }
     case TransferResult::kFenced:
       return FaultOutcome::kRetry;
-    case TransferResult::kRejected: {
-      base::WireWriter rw;
-      rw.U32(p);
-      rw.U64(reply.op_id);
-      rw.U8(1);  // no_copy
-      endpoint_.Notify(mgr, kOpGrantReject, std::move(rw).Take());
+    case TransferResult::kRejected:
+      endpoint_.Notify(mgr, kOpGrantReject,
+                       EncodeGrantReject(p, reply.op_id, /*no_copy=*/true));
       return FaultOutcome::kRetry;
-    }
     case TransferResult::kOk:
       break;
   }
   RecordCompleted(p, reply.op_id, mgr, /*is_write=*/false);
-  base::WireWriter cw;
-  cw.U32(p);
-  cw.U64(reply.op_id);
-  cw.U16(self_);
-  cw.U8(0);
-  endpoint_.Notify(mgr, kOpConfirm, std::move(cw).Take());
+  endpoint_.Notify(mgr, kOpConfirm,
+                   EncodeConfirm(p, reply.op_id, /*is_write=*/false));
   // Requester -> hinted -> manager [-> owner] -> requester.
   const std::int64_t hops =
       (reply.owner == mgr || reply.owner == self_) ? 3 : 4;
@@ -1091,11 +1026,9 @@ bool Host::FaultGroupFetch(PageNum first, PageNum last,
       if (gm == self_) {
         ManagerRevoke(e.page, e.op_id);
       } else {
-        base::WireWriter w;
-        w.U32(e.page);
-        w.U64(e.op_id);
-        w.U8(0);  // abandonment only: says nothing about our copy state
-        endpoint_.Notify(gm, kOpGrantReject, std::move(w).Take());
+        // Abandonment only: says nothing about our copy state.
+        endpoint_.Notify(gm, kOpGrantReject,
+                         EncodeGrantReject(e.page, e.op_id, /*no_copy=*/false));
       }
     }
   };
@@ -1155,11 +1088,9 @@ bool Host::FaultGroupFetch(PageNum first, PageNum last,
           if (gm == self_) {
             HandlePageLostLocal(e.page, e.redirect.op_id, e.redirect_owner);
           } else {
-            base::WireWriter lw;
-            lw.U32(e.page);
-            lw.U64(e.redirect.op_id);
-            lw.U16(e.redirect_owner);
-            endpoint_.Notify(gm, kOpPageLost, std::move(lw).Take());
+            endpoint_.Notify(gm, kOpPageLost,
+                             EncodePageLost(e.page, e.redirect.op_id,
+                                            e.redirect_owner));
           }
           continue;
         }
@@ -1168,31 +1099,9 @@ bool Host::FaultGroupFetch(PageNum first, PageNum last,
         const bool local_mgr = grant_mgr == self_;
         if (!local_mgr) {
           std::lock_guard<std::mutex> lk(state_mu_);
-          if (fenced_.count({e.page, e.fr.op_id}) > 0) {
-            stats_.Inc("dsm.fenced_replies");
+          if (!AcceptGrantLocked(e.page, /*is_write=*/false, e.fr, grant_mgr,
+                                 life)) {
             continue;
-          }
-          if (cfg_.crash_recovery && life != life_) {
-            // Crashed mid-batch: registering would leak a phantom inflight
-            // op into the fresh incarnation (see FaultViaRemoteManager).
-            stats_.Inc("dsm.fenced_replies");
-            continue;
-          }
-          if (cfg_.crash_recovery &&
-              (e.fr.op_id >> 48) < endpoint_.PeerIncarnation(grant_mgr)) {
-            // Grant from a dead incarnation of the page's manager: the
-            // rebuilt map does not know the op; installing would create a
-            // holder invisible to the reconstruction.
-            stats_.Inc("dsm.dead_epoch_grants");
-            continue;
-          }
-          inflight_ops_[{e.page, e.fr.op_id}] =
-              InflightOp{/*is_write=*/false, e.fr.new_version};
-          if (cfg_.probable_owner) {
-            ptable_.SetHint(e.page, e.fr.owner, IncOf(e.fr.owner));
-          }
-          if (dir_.dynamic()) {
-            dir_.LearnManager(e.page, grant_mgr, IncOf(grant_mgr));
           }
         }
         switch (CompleteTransfer(e.page, /*is_write=*/false, e.fr, nullptr,
@@ -1208,12 +1117,9 @@ bool Host::FaultGroupFetch(PageNum first, PageNum last,
             if (local_mgr) {
               ManagerRevoke(e.page, e.fr.op_id);
             } else {
-              base::WireWriter rw;
-              rw.U32(e.page);
-              rw.U64(e.fr.op_id);
-              rw.U8(1);  // no_copy
               endpoint_.Notify(grant_mgr, kOpGrantReject,
-                               std::move(rw).Take());
+                               EncodeGrantReject(e.page, e.fr.op_id,
+                                                 /*no_copy=*/true));
             }
             continue;
           }
@@ -1256,6 +1162,70 @@ bool Host::FaultGroupFetch(PageNum first, PageNum last,
     FaultOne(p, Access::kRead, telem, nullptr);
   }
   return true;
+}
+
+bool Host::AcceptGrantLocked(PageNum p, bool is_write,
+                             const FetchReply& reply, net::HostId mgr,
+                             std::uint32_t life) {
+  if (fenced_.count({p, reply.op_id}) > 0) {
+    // We disowned this grant when a confirm-probe caught us without it; the
+    // manager revoked it, so this late reply must not be installed.
+    stats_.Inc("dsm.fenced_replies");
+    return false;
+  }
+  if (cfg_.crash_recovery && life != life_) {
+    // We crashed while this reply was in flight. The wipe already cleared
+    // inflight_ops_; registering now would plant a phantom op in the fresh
+    // incarnation that answers confirm-probes "still working" forever and
+    // gets adopted as busy by manager rebuilds. Leave the grant to the
+    // manager's probe/lease reclaim.
+    stats_.Inc("dsm.fenced_replies");
+    return false;
+  }
+  if (cfg_.crash_recovery &&
+      (reply.op_id >> 48) < endpoint_.PeerIncarnation(mgr)) {
+    // The granting manager has reincarnated since issuing this grant: its
+    // rebuilt map knows nothing of the op, so installing would create a
+    // holder invisible to the reconstruction. Refault against the rebuilt
+    // manager instead.
+    stats_.Inc("dsm.dead_epoch_grants");
+    return false;
+  }
+  inflight_ops_[{p, reply.op_id}] = InflightOp{is_write, reply.new_version};
+  if (cfg_.probable_owner) {
+    const net::HostId learned = is_write ? self_ : reply.owner;
+    ptable_.SetHint(p, learned, IncOf(learned));
+  }
+  if (dir_.dynamic()) dir_.LearnManager(p, mgr, IncOf(mgr));
+  return true;
+}
+
+net::Body Host::EncodeGrantReject(PageNum p, std::uint64_t op_id,
+                                  bool no_copy) {
+  base::WireWriter w;
+  w.U32(p);
+  w.U64(op_id);
+  w.U8(no_copy ? 1 : 0);
+  return std::move(w).Take();
+}
+
+net::Body Host::EncodeConfirm(PageNum p, std::uint64_t op_id,
+                              bool is_write) const {
+  base::WireWriter w;
+  w.U32(p);
+  w.U64(op_id);
+  w.U16(self_);
+  w.U8(is_write ? 1 : 0);
+  return std::move(w).Take();
+}
+
+net::Body Host::EncodePageLost(PageNum p, std::uint64_t op_id,
+                               net::HostId owner) {
+  base::WireWriter w;
+  w.U32(p);
+  w.U64(op_id);
+  w.U16(owner);
+  return std::move(w).Take();
 }
 
 Host::TransferResult Host::CompleteTransfer(
@@ -2125,7 +2095,7 @@ void Host::HandleOwnerFetch(net::RequestContext ctx, bool is_write) {
   for (auto& h : to_invalidate) h = r.U16();
   net::HostId mgr = 0;
   if (dir_.dynamic()) mgr = r.U16();  // granting manager, echoed back
-  if (!r.ok()) {
+  if (!r.ok() || p >= ptable_.num_pages()) {
     stats_.Inc("dsm.malformed");
     return;
   }
@@ -2525,7 +2495,7 @@ void Host::HandleGroupConfirm(net::RequestContext ctx) {
 void Host::HandleInvalidate(net::RequestContext ctx) {
   base::WireReader r(ctx.body());
   const PageNum p = r.U32();
-  if (!r.ok()) {
+  if (!r.ok() || p >= ptable_.num_pages()) {
     stats_.Inc("dsm.malformed");
     return;
   }
@@ -2637,22 +2607,22 @@ void Host::HandleConfirmProbe(net::RequestContext ctx) {
       FenceOpLocked(p, op_id);
     }
   }
-  base::WireWriter w;
-  w.U32(p);
-  w.U64(op_id);
   switch (answer) {
     case Answer::kConfirm:
-      w.U16(self_);
-      w.U8(is_write ? 1 : 0);
-      endpoint_.Notify(manager, kOpConfirm, std::move(w).Take());
+      endpoint_.Notify(manager, kOpConfirm, EncodeConfirm(p, op_id, is_write));
       break;
-    case Answer::kExtend:
+    case Answer::kExtend: {
+      base::WireWriter w;
+      w.U32(p);
+      w.U64(op_id);
       endpoint_.Notify(manager, kOpGrantExtend, std::move(w).Take());
       break;
+    }
     case Answer::kReject:
       stats_.Inc("dsm.grants_disowned");
-      w.U8(0);  // unknown-op disown: says nothing about our copy state
-      endpoint_.Notify(manager, kOpGrantReject, std::move(w).Take());
+      // Unknown-op disown: says nothing about our copy state.
+      endpoint_.Notify(manager, kOpGrantReject,
+                       EncodeGrantReject(p, op_id, /*no_copy=*/false));
       break;
   }
 }
@@ -3131,7 +3101,7 @@ void Host::HandleDiffFlush(net::RequestContext ctx) {
   }
   const std::span<const std::uint8_t> raw = r.Raw(total);
   if (!r.ok() || !sane || !cfg_.release_consistency ||
-      !dir_.BaseManagedHere(p)) {
+      p >= ptable_.num_pages() || !dir_.BaseManagedHere(p)) {
     stats_.Inc("dsm.malformed");
     return;
   }
@@ -3652,23 +3622,7 @@ void Host::HandlePageLostLocal(PageNum p, std::uint64_t op_id,
       }
     } else {
       // The sole copy died with its owner.
-      MERMAID_CHECK_MSG(cfg_.lost_page_policy == SystemConfig::LostPagePolicy::kReinitZero,
-                        "page lost: the only copy died with its owner");
-      stats_.Inc("dsm.recovery_pages_lost");
-      m.owner = self_;
-      m.copyset = {self_};
-      m.version = 0;
-      LocalPageEntry& e = ptable_.Local(p);
-      e.access = Access::kRead;
-      e.owned = true;
-      e.version = 0;
-      e.retained = false;
-      e.type = m.type;
-      e.alloc_bytes = m.alloc_bytes;
-      const std::size_t base = static_cast<std::size_t>(p) * page_bytes_;
-      const std::size_t end =
-          std::min<std::size_t>(base + page_bytes_, mem_.size());
-      std::fill(mem_.begin() + base, mem_.begin() + end, 0);
+      ReinitPageLocked(p, m, "page lost: the only copy died with its owner");
       DropConvertCacheLocked(p);
       reinit = true;
     }
@@ -3682,15 +3636,96 @@ void Host::HandlePageLostLocal(PageNum p, std::uint64_t op_id,
       // Fire-and-forget: the promotion only flips the new owner's `owned`
       // bit (its copy is already live), so a lost notify costs an extra
       // manager hop later, never correctness.
-      base::WireWriter w;
-      w.U16(1);
-      w.U32(p);
-      w.U8(2);  // mode 2: promote
-      w.U64(promote_version);
-      endpoint_.Notify(new_owner, kOpRecoveryDemote, std::move(w).Take());
+      endpoint_.Notify(new_owner, kOpRecoveryDemote,
+                       EncodeDemotes({{new_owner, p, 2, promote_version}}));
     }
   }
   if (drain) ManagerDrain(p);
+}
+
+std::optional<Host::Claim> Host::ClaimLocked(PageNum p) {
+  const LocalPageEntry& e = ptable_.Local(p);
+  Claim c;
+  c.page = p;
+  c.host = self_;
+  c.version = e.version;
+  c.access = e.access;
+  if (cfg_.release_consistency && e.access == Access::kWrite) {
+    // Under release consistency a write-accessible page is a local twin
+    // (or home-dirty): the manager of record never granted write
+    // ownership, so claim it as a read copy at its base version — the
+    // rebuilt entry must not adopt a deferred-write buffer as owner.
+    c.access = Access::kRead;
+  }
+  c.owned = e.owned;
+  c.retained = e.retained;
+  // Dynamic directory: flag pages this host currently manages, so the
+  // recovering base host installs a forward pointer instead of seizing
+  // management back from a live migrated entry.
+  c.manages = dir_.dynamic() && dir_.ManagedHere(p) && !recovering_;
+  c.type = e.type;
+  c.alloc_bytes = e.alloc_bytes;
+  // The highest-id in-flight grant: a decoded-but-unconfirmed transfer
+  // this host WILL install, which the manager must adopt as busy.
+  for (auto it = inflight_ops_.lower_bound({p, 0});
+       it != inflight_ops_.end() && it->first.first == p; ++it) {
+    c.op_id = it->first.second;
+    c.op_is_write = it->second.is_write;
+    c.op_new_version = it->second.new_version;
+  }
+  // Claim only pages with something to say: a copy, a retained image, an
+  // in-flight grant, a managed entry, or a version trace (evidence the page
+  // once lived, so a silent total loss is detected, not reinitialized).
+  if (c.version == 0 && c.access == Access::kNone && !c.owned &&
+      !c.retained && !c.manages && c.op_id == 0) {
+    return std::nullopt;
+  }
+  return c;
+}
+
+void Host::EncodeClaim(base::WireWriter& w, const Claim& c) const {
+  w.U32(c.page);
+  w.U64(c.version);
+  w.U8(AccessByte(c.access));
+  w.U8(static_cast<std::uint8_t>((c.owned ? 1 : 0) | (c.retained ? 2 : 0) |
+                                 (c.manages ? 4 : 0)));
+  w.U64(c.op_id);
+  w.U8(c.op_is_write ? 1 : 0);
+  w.U64(c.op_new_version);
+  if (dir_.dynamic()) {
+    w.U16(static_cast<std::uint16_t>(c.type));
+    w.U32(c.alloc_bytes);
+  }
+}
+
+Host::Claim Host::DecodeClaim(base::WireReader& r) const {
+  Claim c;
+  c.page = r.U32();
+  c.version = r.U64();
+  c.access = AccessFromByte(r.U8());
+  const std::uint8_t flags = r.U8();
+  c.owned = (flags & 1) != 0;
+  c.retained = (flags & 2) != 0;
+  c.op_id = r.U64();
+  c.op_is_write = r.U8() != 0;
+  c.op_new_version = r.U64();
+  if (dir_.dynamic()) {
+    c.manages = (flags & 4) != 0;
+    c.type = static_cast<arch::TypeId>(r.U16());
+    c.alloc_bytes = r.U32();
+  }
+  return c;
+}
+
+net::Body Host::EncodeDemotes(const std::vector<Demote>& ds) {
+  base::WireWriter w;
+  w.U16(static_cast<std::uint16_t>(ds.size()));
+  for (const Demote& d : ds) {
+    w.U32(d.page);
+    w.U8(d.mode);
+    w.U64(d.version);
+  }
+  return std::move(w).Take();
 }
 
 void Host::HandleRecoveryQuery(net::RequestContext ctx) {
@@ -3710,57 +3745,11 @@ void Host::HandleRecoveryQuery(net::RequestContext ctx) {
       return;
     }
   }
-  struct Claim {
-    PageNum page = 0;
-    std::uint64_t version = 0;
-    std::uint8_t access = 0;
-    std::uint8_t flags = 0;
-    std::uint64_t op_id = 0;
-    bool op_is_write = false;
-    std::uint64_t op_new_version = 0;
-    std::uint16_t type = 0;
-    std::uint32_t alloc_bytes = 0;
-  };
   std::vector<Claim> claims;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     auto emit = [&](PageNum p) {
-      const LocalPageEntry& e = ptable_.Local(p);
-      Claim c;
-      c.page = p;
-      c.version = e.version;
-      c.access = AccessByte(e.access);
-      if (cfg_.release_consistency && e.access == Access::kWrite) {
-        // Under release consistency a write-accessible page is a local twin
-        // (or home-dirty): the manager of record never granted write
-        // ownership, so claim it as a read copy at its base version — the
-        // rebuilt entry must not adopt a deferred-write buffer as owner.
-        c.access = AccessByte(Access::kRead);
-      }
-      c.flags = static_cast<std::uint8_t>((e.owned ? 1 : 0) |
-                                          (e.retained ? 2 : 0));
-      // Dynamic directory: flag pages this host currently manages, so the
-      // recovering base host installs a forward pointer instead of seizing
-      // management back from a live migrated entry.
-      if (dir_.dynamic() && dir_.ManagedHere(p) && !recovering_) c.flags |= 4;
-      c.type = static_cast<std::uint16_t>(e.type);
-      c.alloc_bytes = e.alloc_bytes;
-      // The highest-id in-flight grant: a decoded-but-unconfirmed transfer
-      // this host WILL install, which the manager must adopt as busy.
-      for (auto it = inflight_ops_.lower_bound({p, 0});
-           it != inflight_ops_.end() && it->first.first == p; ++it) {
-        c.op_id = it->first.second;
-        c.op_is_write = it->second.is_write;
-        c.op_new_version = it->second.new_version;
-      }
-      // Claim only pages with something to say: a copy, a retained image,
-      // an in-flight grant, a managed entry, or a version trace (evidence
-      // the page once lived, so a silent total loss is detected, not
-      // reinitialized).
-      if (c.version == 0 && c.access == 0 && c.flags == 0 && c.op_id == 0) {
-        return;
-      }
-      claims.push_back(c);
+      if (auto c = ClaimLocked(p)) claims.push_back(*c);
     };
     if (wanted.empty()) {
       for (PageNum p = 0; p < ptable_.num_pages(); ++p) {
@@ -3775,33 +3764,82 @@ void Host::HandleRecoveryQuery(net::RequestContext ctx) {
   }
   base::WireWriter w;
   w.U16(static_cast<std::uint16_t>(claims.size()));
-  for (const Claim& c : claims) {
-    w.U32(c.page);
-    w.U64(c.version);
-    w.U8(c.access);
-    w.U8(c.flags);
-    w.U64(c.op_id);
-    w.U8(c.op_is_write ? 1 : 0);
-    w.U64(c.op_new_version);
-    if (dir_.dynamic()) {
-      w.U16(c.type);
-      w.U32(c.alloc_bytes);
+  for (const Claim& c : claims) EncodeClaim(w, c);
+  ctx.Reply(std::move(w).Take());
+}
+
+void Host::ApplyDemoteLocked(PageNum p, std::uint8_t mode,
+                             std::vector<DemoteEv>* evs) {
+  LocalPageEntry& e = ptable_.Local(p);
+  if (mode == 0 || mode == 1) {
+    // A drop/downgrade proves the rebuilt manager did NOT adopt any grant
+    // we have decoded for this page (adopted claimants are never demoted):
+    // fence those ops so their pending installs are discarded instead of
+    // resurrecting the demoted state, and let the fault path retry against
+    // the rebuilt manager.
+    for (auto it = inflight_ops_.lower_bound({p, 0});
+         it != inflight_ops_.end() && it->first.first == p;) {
+      FenceOpLocked(it->first.first, it->first.second);
+      it = inflight_ops_.erase(it);
     }
   }
-  ctx.Reply(std::move(w).Take());
+  if (mode == 0) {
+    // This copy lost the rebuild arbitration (stale version, demoted
+    // duplicate, or a dangling retained image).
+    if (e.access != Access::kNone) {
+      evs->push_back({0, p, 0});
+      stats_.Inc("dsm.recovery_demotions");
+    }
+    e.access = Access::kNone;
+    e.owned = false;
+    e.retained = false;
+    DropConvertCacheLocked(p);
+  } else if (mode == 1) {
+    // Ownership moved elsewhere; the copy stays readable.
+    if (e.access == Access::kWrite) {
+      e.access = Access::kRead;
+      evs->push_back({1, p, 0});
+      stats_.Inc("dsm.recovery_demotions");
+    }
+    e.owned = false;
+  } else if (mode == 2) {
+    // This host is the rebuilt owner. A retained pre-crash image is
+    // re-animated as the live copy; a write grant is conservatively
+    // downgraded (the rebuild leaves no page writable, so MRSW holds by
+    // construction through the heal).
+    if (e.access == Access::kNone && e.retained) {
+      e.access = Access::kRead;
+      e.retained = false;
+      evs->push_back({2, p, e.version});
+    } else if (e.access == Access::kWrite) {
+      e.access = Access::kRead;
+      evs->push_back({1, p, 0});
+    }
+    if (e.access != Access::kNone) {
+      e.owned = true;
+      stats_.Inc("dsm.recovery_promotions");
+    }
+  }
+}
+
+void Host::ReportDemoteEvs(const std::vector<DemoteEv>& evs) {
+  if (referee_ == nullptr) return;
+  for (const DemoteEv& ev : evs) {
+    if (ev.kind == 0) {
+      referee_->OnInvalidate(self_, ev.page);
+    } else if (ev.kind == 1) {
+      referee_->OnDowngrade(self_, ev.page);
+    } else {
+      referee_->OnInstall(self_, ev.page, ev.version, Access::kRead);
+    }
+  }
 }
 
 void Host::HandleRecoveryDemote(net::RequestContext ctx) {
   base::WireReader r(ctx.body());
-  const std::uint16_t n = r.U16();
-  struct Cmd {
-    PageNum p = 0;
-    std::uint8_t mode = 0;  // 0 drop, 1 downgrade+disown, 2 promote
-    std::uint64_t version = 0;
-  };
-  std::vector<Cmd> cmds(n);
-  for (Cmd& c : cmds) {
-    c.p = r.U32();
+  std::vector<Demote> cmds(r.U16());
+  for (Demote& c : cmds) {
+    c.page = r.U32();
     c.mode = r.U8();
     c.version = r.U64();
   }
@@ -3812,81 +3850,229 @@ void Host::HandleRecoveryDemote(net::RequestContext ctx) {
   rt_.Delay(profile_->server_op_cost);
   // Referee events are collected under the lock and reported after it (the
   // referee takes its own mutex; keep the order state_mu_ -> referee only).
-  struct Ev {
-    std::uint8_t kind = 0;  // 0 invalidate, 1 downgrade, 2 install
-    PageNum p = 0;
-    std::uint64_t version = 0;
-  };
-  std::vector<Ev> evs;
+  std::vector<DemoteEv> evs;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
-    for (const Cmd& c : cmds) {
-      if (c.p >= ptable_.num_pages()) continue;
-      LocalPageEntry& e = ptable_.Local(c.p);
-      if (c.mode == 0 || c.mode == 1) {
-        // A drop/downgrade proves the rebuilt manager did NOT adopt any
-        // grant we have decoded for this page (adopted claimants are never
-        // demoted): fence those ops so their pending installs are discarded
-        // instead of resurrecting the demoted state, and let the fault path
-        // retry against the rebuilt manager.
-        for (auto it = inflight_ops_.lower_bound({c.p, 0});
-             it != inflight_ops_.end() && it->first.first == c.p;) {
-          FenceOpLocked(it->first.first, it->first.second);
-          it = inflight_ops_.erase(it);
-        }
-      }
-      if (c.mode == 0) {
-        // This copy lost the rebuild arbitration (stale version, demoted
-        // duplicate, or a dangling retained image).
-        if (e.access != Access::kNone) {
-          evs.push_back({0, c.p, 0});
-          stats_.Inc("dsm.recovery_demotions");
-        }
-        e.access = Access::kNone;
-        e.owned = false;
-        e.retained = false;
-        DropConvertCacheLocked(c.p);
-      } else if (c.mode == 1) {
-        // Ownership moved elsewhere; the copy stays readable.
-        if (e.access == Access::kWrite) {
-          e.access = Access::kRead;
-          evs.push_back({1, c.p, 0});
-          stats_.Inc("dsm.recovery_demotions");
-        }
-        e.owned = false;
-      } else if (c.mode == 2) {
-        // This host is the rebuilt owner. A retained pre-crash image is
-        // re-animated as the live copy; a write grant is conservatively
-        // downgraded (the rebuild leaves no page writable, so MRSW holds
-        // by construction through the heal).
-        if (e.access == Access::kNone && e.retained) {
-          e.access = Access::kRead;
-          e.retained = false;
-          evs.push_back({2, c.p, e.version});
-        } else if (e.access == Access::kWrite) {
-          e.access = Access::kRead;
-          evs.push_back({1, c.p, 0});
-        }
-        if (e.access != Access::kNone) {
-          e.owned = true;
-          stats_.Inc("dsm.recovery_promotions");
-        }
-      }
-      TraceEv(trace::EventKind::kRecoveryDemote, c.p, 0, 0, ctx.origin(),
+    for (const Demote& c : cmds) {
+      if (c.page >= ptable_.num_pages()) continue;
+      ApplyDemoteLocked(c.page, c.mode, &evs);
+      TraceEv(trace::EventKind::kRecoveryDemote, c.page, 0, 0, ctx.origin(),
               c.mode);
     }
   }
-  for (const Ev& ev : evs) {
-    if (referee_ == nullptr) break;
-    if (ev.kind == 0) {
-      referee_->OnInvalidate(self_, ev.p);
-    } else if (ev.kind == 1) {
-      referee_->OnDowngrade(self_, ev.p);
-    } else {
-      referee_->OnInstall(self_, ev.p, ev.version, Access::kRead);
+  ReportDemoteEvs(evs);
+  ctx.Reply({});
+}
+
+bool Host::GatherClaims(std::uint32_t life, const net::Body& query,
+                        const char* abort_msg, std::vector<Claim>* claims) {
+  // An empty query is a restarted manager's full sweep: only that one is
+  // counted (dsm.recovery_queries) and traced.
+  const bool sweep = query.size() == 0;
+  std::vector<net::HostId> unanswered;
+  for (net::HostId h = 0; h < num_hosts_; ++h) {
+    if (h != self_) unanswered.push_back(h);
+  }
+  for (int round = 0;; ++round) {
+    {
+      std::lock_guard<std::mutex> lk(state_mu_);
+      if (life != life_) return false;  // crashed meanwhile; wipe cleaned up
+    }
+    // A host that is down right now restarts with amnesia: it has nothing
+    // to claim, so it counts as answered-empty.
+    std::erase_if(unanswered, [&](net::HostId h) {
+      return net_.HostDown(h, rt_.Now());
+    });
+    if (unanswered.empty()) return true;
+    MERMAID_CHECK_MSG(round <= cfg_.fault_retry_limit, abort_msg);
+    if (round > 0) rt_.Delay(FaultBackoff(cfg_, round));
+    if (sweep) {
+      stats_.Inc("dsm.recovery_queries",
+                 static_cast<std::int64_t>(unanswered.size()));
+      TraceEv(trace::EventKind::kRecoveryQuery, trace::kNoPage, 0, 0,
+              static_cast<std::int64_t>(unanswered.size()), round);
+    }
+    auto acks = endpoint_.MultiCallWithStatus(unanswered, kOpRecoveryQuery,
+                                              query, net::MsgKind::kControl,
+                                              DsmCallOpts());
+    if (acks.status == net::CallStatus::kShutdown) return false;
+    std::set<std::size_t> timed_out(acks.timed_out.begin(),
+                                    acks.timed_out.end());
+    std::vector<net::HostId> next;
+    for (std::size_t i = 0; i < unanswered.size(); ++i) {
+      if (timed_out.count(i) != 0) {
+        next.push_back(unanswered[i]);
+        continue;
+      }
+      const base::Buffer flat = acks.replies[i].Flatten();
+      base::WireReader r(flat.span());
+      const std::uint16_t n = r.U16();
+      for (std::uint16_t k = 0; k < n && r.ok(); ++k) {
+        Claim c = DecodeClaim(r);
+        c.host = unanswered[i];
+        if (r.ok()) claims->push_back(c);
+      }
+      if (!r.ok()) stats_.Inc("dsm.malformed");
+    }
+    unanswered = std::move(next);
+  }
+}
+
+const Host::Claim* Host::LiveManagerClaim(
+    const std::vector<const Claim*>& claims) {
+  const Claim* live = nullptr;
+  for (const Claim* c : claims) {
+    if (c->manages && (live == nullptr || c->host < live->host)) live = c;
+  }
+  return live;
+}
+
+const Host::Claim* Host::ArbitrateLocked(
+    PageNum p, ManagerEntry& m, const std::vector<const Claim*>& claims,
+    std::vector<Demote>* outs, bool* lost) {
+  m.busy = false;
+  m.pending.clear();  // queued requesters re-send after their timeouts
+  m.copyset.clear();
+  const Claim* infl = nullptr;
+  bool evidence = false;
+  std::vector<const Claim*> valid;
+  std::uint64_t vmax = 0;
+  for (const Claim* c : claims) {
+    if (c->version > 0 || c->op_id != 0) evidence = true;
+    if (c->access != Access::kNone || c->retained) {
+      valid.push_back(c);
+      vmax = std::max(vmax, c->version);
+    }
+    if (c->op_id != 0 && (infl == nullptr || c->op_id > infl->op_id)) {
+      infl = c;
     }
   }
-  ctx.Reply({});
+  if (valid.empty() && infl == nullptr) {
+    // No copy survives anywhere. Without evidence the page was simply never
+    // shared (every page starts owned by its manager); with evidence, the
+    // whole history died in the crash.
+    *lost = evidence;
+    return nullptr;
+  }
+  // Arbitrate the surviving copies: highest version wins; among those,
+  // prefer a claimed owner-writer, then a claimed owner, then any live
+  // copy, then a retained image; lowest host id breaks ties.
+  auto rank = [](const Claim* c) {
+    if (c->owned && c->access == Access::kWrite) return 3;
+    if (c->owned) return 2;
+    if (c->access != Access::kNone) return 1;
+    return 0;
+  };
+  const bool adopt = infl != nullptr && infl->op_new_version >= vmax;
+  const Claim* winner = nullptr;
+  for (const Claim* c : valid) {
+    if (c->version < vmax) continue;
+    if (winner == nullptr || rank(c) > rank(winner) ||
+        (rank(c) == rank(winner) && c->host < winner->host)) {
+      winner = c;
+    }
+  }
+  if (winner != nullptr) {
+    m.owner = winner->host;
+    m.version = vmax;
+    for (const Claim* c : valid) {
+      // The adopted in-flight grant's install depends on the local state
+      // its claimant reported (a read copy to upgrade, a retained image to
+      // re-animate). A drop/downgrade would wipe that state out from under
+      // the pending install — leave the claimant alone and let the
+      // transfer's confirm settle owner and copyset.
+      const bool pending_install = adopt && c->host == infl->host;
+      if (c->version < vmax) {
+        // Stale copy: drop it (and any retained image with it).
+        if (!pending_install) outs->push_back({c->host, p, 0, vmax});
+        continue;
+      }
+      if (c == winner) {
+        m.copyset.insert(c->host);
+        outs->push_back({c->host, p, 2, vmax});
+        continue;
+      }
+      if (c->access == Access::kNone) {
+        // A retained image that lost the arbitration is a dangling
+        // pre-crash grant artifact: clear it.
+        if (!pending_install) outs->push_back({c->host, p, 0, vmax});
+        continue;
+      }
+      m.copyset.insert(c->host);
+      if (c->owned || c->access == Access::kWrite) {
+        // Duplicate owner/writer: downgrade and disown, keep the copy.
+        if (!pending_install) outs->push_back({c->host, p, 1, vmax});
+      }
+    }
+  }
+  if (adopt) {
+    // A host holds a decoded-but-unconfirmed grant for this page: adopt it
+    // as the busy transfer so its confirm commits normally (or the janitor
+    // probes it out if the claimant died meanwhile).
+    if (winner == nullptr) {
+      m.owner = infl->host;
+      m.version = infl->op_new_version;
+    }
+    m.busy = true;
+    m.busy_op_id = infl->op_id;
+    m.busy_requester = infl->host;
+    m.busy_is_write = infl->op_is_write;
+    m.busy_new_version = infl->op_new_version;
+    m.busy_since = rt_.Now();
+    stats_.Inc("dsm.recovery_inflight_adopted");
+  }
+  return winner != nullptr ? winner : infl;
+}
+
+void Host::ReinitPageLocked(PageNum p, ManagerEntry& m,
+                            const char* lost_msg) {
+  if (lost_msg != nullptr) {
+    MERMAID_CHECK_MSG(
+        cfg_.lost_page_policy == SystemConfig::LostPagePolicy::kReinitZero,
+        lost_msg);
+    stats_.Inc("dsm.recovery_pages_lost");
+  }
+  m.owner = self_;
+  m.copyset = {self_};
+  m.version = 0;
+  LocalPageEntry& e = ptable_.Local(p);
+  e.access = Access::kRead;
+  e.owned = true;
+  e.version = 0;
+  e.retained = false;
+  e.type = m.type;
+  e.alloc_bytes = m.alloc_bytes;
+  const std::size_t base = static_cast<std::size_t>(p) * page_bytes_;
+  const std::size_t end =
+      std::min<std::size_t>(base + page_bytes_, mem_.size());
+  std::fill(mem_.begin() + base, mem_.begin() + end, 0);
+}
+
+bool Host::SendDemotes(std::uint32_t life, const std::vector<Demote>& outs,
+                       const char* abort_msg) {
+  // Reliable delivery matters for modes 0/1 (a missed demote leaves a stale
+  // owner or duplicate writer behind), so each per-destination batch is a
+  // bounded-retry call, skipped only when the destination itself died
+  // (amnesia voids the demote anyway).
+  std::map<net::HostId, std::vector<Demote>> by_dst;
+  for (const Demote& o : outs) by_dst[o.dst].push_back(o);
+  for (const auto& [dst, cmds] : by_dst) {
+    const net::Body body = EncodeDemotes(cmds);
+    for (int round = 0;; ++round) {
+      {
+        std::lock_guard<std::mutex> lk(state_mu_);
+        if (life != life_) return false;
+      }
+      if (net_.HostDown(dst, rt_.Now())) break;
+      MERMAID_CHECK_MSG(round <= cfg_.fault_retry_limit, abort_msg);
+      if (round > 0) rt_.Delay(FaultBackoff(cfg_, round));
+      auto res = endpoint_.CallWithStatus(dst, kOpRecoveryDemote, body,
+                                          net::MsgKind::kControl,
+                                          DsmCallOpts());
+      if (res.status != net::CallStatus::kTimedOut) break;
+    }
+  }
+  return true;
 }
 
 void Host::RunManagerRecovery() {
@@ -3904,78 +4090,10 @@ void Host::RunManagerRecovery() {
   }
   TraceEv(trace::EventKind::kRecoveryStart, trace::kNoPage, 0, 0,
           endpoint_.incarnation());
-  struct Claim {
-    PageNum page = 0;
-    std::uint64_t version = 0;
-    Access access = Access::kNone;
-    bool owned = false;
-    bool retained = false;
-    std::uint64_t op_id = 0;
-    bool op_is_write = false;
-    std::uint64_t op_new_version = 0;
-    net::HostId host = 0;
-    bool manages = false;  // dynamic: claimant holds the migrated entry
-  };
   std::vector<Claim> claims;
-  std::vector<net::HostId> unanswered;
-  for (net::HostId h = 0; h < num_hosts_; ++h) {
-    if (h != self_) unanswered.push_back(h);
-  }
-  for (int round = 0;; ++round) {
-    {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      if (life != life_) return;
-    }
-    // A host that is down right now restarts with amnesia: it has nothing
-    // to claim, so it counts as answered-empty.
-    std::erase_if(unanswered, [&](net::HostId h) {
-      return net_.HostDown(h, rt_.Now());
-    });
-    if (unanswered.empty()) break;
-    MERMAID_CHECK_MSG(round <= cfg_.fault_retry_limit,
-                      "manager recovery query exhausted retries");
-    if (round > 0) rt_.Delay(FaultBackoff(cfg_, round));
-    stats_.Inc("dsm.recovery_queries",
-               static_cast<std::int64_t>(unanswered.size()));
-    TraceEv(trace::EventKind::kRecoveryQuery, trace::kNoPage, 0, 0,
-            static_cast<std::int64_t>(unanswered.size()), round);
-    auto acks = endpoint_.MultiCallWithStatus(unanswered, kOpRecoveryQuery,
-                                              {}, net::MsgKind::kControl,
-                                              DsmCallOpts());
-    if (acks.status == net::CallStatus::kShutdown) return;
-    std::set<std::size_t> timed_out(acks.timed_out.begin(),
-                                    acks.timed_out.end());
-    std::vector<net::HostId> next;
-    for (std::size_t i = 0; i < unanswered.size(); ++i) {
-      if (timed_out.count(i) != 0) {
-        next.push_back(unanswered[i]);
-        continue;
-      }
-      const base::Buffer flat = acks.replies[i].Flatten();
-      base::WireReader r(flat.span());
-      const std::uint16_t n = r.U16();
-      for (std::uint16_t k = 0; k < n && r.ok(); ++k) {
-        Claim c;
-        c.page = r.U32();
-        c.version = r.U64();
-        c.access = AccessFromByte(r.U8());
-        const std::uint8_t flags = r.U8();
-        c.owned = (flags & 1) != 0;
-        c.retained = (flags & 2) != 0;
-        c.op_id = r.U64();
-        c.op_is_write = r.U8() != 0;
-        c.op_new_version = r.U64();
-        if (dir_.dynamic()) {
-          c.manages = (flags & 4) != 0;
-          r.U16();  // type: the rebuilt entry keeps its re-applied type set
-          r.U32();  // alloc_bytes: likewise
-        }
-        c.host = unanswered[i];
-        if (r.ok()) claims.push_back(c);
-      }
-      if (!r.ok()) stats_.Inc("dsm.malformed");
-    }
-    unanswered = std::move(next);
+  if (!GatherClaims(life, {}, "manager recovery query exhausted retries",
+                    &claims)) {
+    return;
   }
   stats_.Inc("dsm.recovery_claims",
              static_cast<std::int64_t>(claims.size()));
@@ -3986,167 +4104,47 @@ void Host::RunManagerRecovery() {
       by_page[c.page].push_back(&c);
     }
   }
-  struct Out {
-    net::HostId dst = 0;
-    PageNum p = 0;
-    std::uint8_t mode = 0;
-    std::uint64_t version = 0;
-  };
-  std::vector<Out> outs;
-  // Pages reinitialized (referee OnReinit after the lock): quiet initial
+  std::vector<Demote> outs;
+  // Pages reinitialized (referee OnReinit after the loop): quiet initial
   // restores and policy-reinitialized losses alike.
   std::vector<PageNum> reinits;
   std::vector<PageNum> rebuilt_pages;
   std::int64_t lost = 0;
-  std::int64_t adopted = 0;
   std::int64_t forwarded = 0;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     if (life != life_) return;
-    auto rebuild = [&](PageNum p, ManagerEntry& m) {
-      m.busy = false;
-      m.pending.clear();  // queued requesters re-send after their timeouts
-      m.copyset.clear();
-      const Claim* infl = nullptr;
-      bool evidence = false;
-      std::vector<const Claim*> valid;
-      std::uint64_t vmax = 0;
-      if (auto it = by_page.find(p); it != by_page.end()) {
-        for (const Claim* c : it->second) {
-          if (c->version > 0 || c->op_id != 0) evidence = true;
-          if (c->access != Access::kNone || c->retained) {
-            valid.push_back(c);
-            vmax = std::max(vmax, c->version);
-          }
-          if (c->op_id != 0 && (infl == nullptr || c->op_id > infl->op_id)) {
-            infl = c;
-          }
-        }
-      }
-      if (valid.empty() && infl == nullptr) {
-        // No copy survives anywhere. Without evidence the page was simply
-        // never shared (every page starts owned by its manager): restore
-        // the initial placement quietly. With evidence, the whole history
-        // died in the crash: the lost-page policy applies.
-        if (evidence) {
-          MERMAID_CHECK_MSG(
-              cfg_.lost_page_policy == SystemConfig::LostPagePolicy::kReinitZero,
-              "page lost in manager crash: every copy died");
-          stats_.Inc("dsm.recovery_pages_lost");
-          ++lost;
-        }
-        m.owner = self_;
-        m.copyset.insert(self_);
-        m.version = 0;
-        LocalPageEntry& e = ptable_.Local(p);
-        e.access = Access::kRead;
-        e.owned = true;
-        e.version = 0;
-        e.retained = false;
-        e.type = m.type;
-        e.alloc_bytes = m.alloc_bytes;
-        const std::size_t base = static_cast<std::size_t>(p) * page_bytes_;
-        const std::size_t end =
-            std::min<std::size_t>(base + page_bytes_, mem_.size());
-        std::fill(mem_.begin() + base, mem_.begin() + end, 0);
-        reinits.push_back(p);
-        return;
-      }
-      rebuilt_pages.push_back(p);
-      // Arbitrate the surviving copies: highest version wins; among those,
-      // prefer a claimed owner-writer, then a claimed owner, then any live
-      // copy, then a retained image; lowest host id breaks ties.
-      auto rank = [](const Claim* c) {
-        if (c->owned && c->access == Access::kWrite) return 3;
-        if (c->owned) return 2;
-        if (c->access != Access::kNone) return 1;
-        return 0;
-      };
-      const bool adopt = infl != nullptr && infl->op_new_version >= vmax;
-      const Claim* winner = nullptr;
-      for (const Claim* c : valid) {
-        if (c->version < vmax) continue;
-        if (winner == nullptr || rank(c) > rank(winner) ||
-            (rank(c) == rank(winner) && c->host < winner->host)) {
-          winner = c;
-        }
-      }
-      if (winner != nullptr) {
-        m.owner = winner->host;
-        m.version = vmax;
-        for (const Claim* c : valid) {
-          // The adopted in-flight grant's install depends on the local state
-          // its claimant reported (a read copy to upgrade, a retained image
-          // to re-animate). A drop/downgrade would wipe that state out from
-          // under the pending install — leave the claimant alone and let
-          // the transfer's confirm settle owner and copyset.
-          const bool pending_install = adopt && c->host == infl->host;
-          if (c->version < vmax) {
-            // Stale copy: drop it (and any retained image with it).
-            if (!pending_install) outs.push_back({c->host, p, 0, vmax});
-            continue;
-          }
-          if (c == winner) {
-            m.copyset.insert(c->host);
-            outs.push_back({c->host, p, 2, vmax});
-            continue;
-          }
-          if (c->access == Access::kNone) {
-            // A retained image that lost the arbitration is a dangling
-            // pre-crash grant artifact: clear it.
-            if (!pending_install) outs.push_back({c->host, p, 0, vmax});
-            continue;
-          }
-          m.copyset.insert(c->host);
-          if (c->owned || c->access == Access::kWrite) {
-            // Duplicate owner/writer: downgrade and disown, keep the copy.
-            if (!pending_install) outs.push_back({c->host, p, 1, vmax});
-          }
-        }
-      }
-      if (adopt) {
-        // A host holds a decoded-but-unconfirmed grant for this page: adopt
-        // it as the busy transfer so its confirm commits normally (or the
-        // janitor probes it out if the claimant died meanwhile).
-        if (winner == nullptr) {
-          m.owner = infl->host;
-          m.version = infl->op_new_version;
-        }
-        m.busy = true;
-        m.busy_op_id = infl->op_id;
-        m.busy_requester = infl->host;
-        m.busy_is_write = infl->op_is_write;
-        m.busy_new_version = infl->op_new_version;
-        m.busy_since = rt_.Now();
-        ++adopted;
-        stats_.Inc("dsm.recovery_inflight_adopted");
-      }
-    };
+    const std::vector<const Claim*> none;
     for (PageNum p : dir_.ManagedPages()) {
       ManagerEntry* mp = dir_.FindManager(p);
       if (mp == nullptr) continue;
+      const auto it = by_page.find(p);
+      const std::vector<const Claim*>& page_claims =
+          it != by_page.end() ? it->second : none;
       if (dir_.dynamic()) {
         // A survivor claiming `manages` holds the live migrated entry for
         // this base page: this host is only its rally point again. Reinstall
         // the forward pointer instead of seizing management back.
-        const Claim* live_mgr = nullptr;
-        if (auto it = by_page.find(p); it != by_page.end()) {
-          for (const Claim* c : it->second) {
-            if (c->manages &&
-                (live_mgr == nullptr || c->host < live_mgr->host)) {
-              live_mgr = c;
-            }
-          }
-        }
-        if (live_mgr != nullptr) {
+        if (const Claim* live = LiveManagerClaim(page_claims)) {
           dir_.EraseManager(p);
-          dir_.SetForward(p, live_mgr->host, IncOf(live_mgr->host));
-          dir_.LearnManager(p, live_mgr->host, IncOf(live_mgr->host));
+          dir_.SetForward(p, live->host, IncOf(live->host));
+          dir_.LearnManager(p, live->host, IncOf(live->host));
           ++forwarded;
           continue;
         }
       }
-      rebuild(p, *mp);
+      bool page_lost = false;
+      if (ArbitrateLocked(p, *mp, page_claims, &outs, &page_lost) !=
+          nullptr) {
+        rebuilt_pages.push_back(p);
+        continue;
+      }
+      ReinitPageLocked(p, *mp,
+                       page_lost
+                           ? "page lost in manager crash: every copy died"
+                           : nullptr);
+      if (page_lost) ++lost;
+      reinits.push_back(p);
     }
     if (forwarded > 0) stats_.Inc("dsm.recovery_forwards", forwarded);
     // Referee notification stays under the lock: a crash cannot interpose
@@ -4160,37 +4158,7 @@ void Host::RunManagerRecovery() {
   for (PageNum p : rebuilt_pages) {
     TraceEv(trace::EventKind::kRecoveryRebuild, p, 0, 0);
   }
-
-  // Apply the arbitration on the claimants. Reliable delivery matters for
-  // modes 0/1 (a missed demote leaves a stale owner or duplicate writer
-  // behind), so each batch is a bounded-retry call, skipped only when the
-  // destination itself died (amnesia voids the demote anyway).
-  std::map<net::HostId, std::vector<Out>> by_dst;
-  for (const Out& o : outs) by_dst[o.dst].push_back(o);
-  for (const auto& [dst, cmds] : by_dst) {
-    base::WireWriter w;
-    w.U16(static_cast<std::uint16_t>(cmds.size()));
-    for (const Out& o : cmds) {
-      w.U32(o.p);
-      w.U8(o.mode);
-      w.U64(o.version);
-    }
-    const net::Body body = std::move(w).Take();
-    for (int round = 0;; ++round) {
-      {
-        std::lock_guard<std::mutex> lk(state_mu_);
-        if (life != life_) return;
-      }
-      if (net_.HostDown(dst, rt_.Now())) break;
-      MERMAID_CHECK_MSG(round <= cfg_.fault_retry_limit,
-                        "recovery demote exhausted retries");
-      if (round > 0) rt_.Delay(FaultBackoff(cfg_, round));
-      auto res = endpoint_.CallWithStatus(dst, kOpRecoveryDemote, body,
-                                          net::MsgKind::kControl,
-                                          DsmCallOpts());
-      if (res.status != net::CallStatus::kTimedOut) break;
-    }
-  }
+  if (!SendDemotes(life, outs, "recovery demote exhausted retries")) return;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     if (life != life_) return;
@@ -4199,7 +4167,6 @@ void Host::RunManagerRecovery() {
   stats_.Hist("dsm.recovery_ms", ToMillis(rt_.Now() - t0));
   TraceEv(trace::EventKind::kRecoveryDone, trace::kNoPage, 0, 0,
           static_cast<std::int64_t>(rebuilt_pages.size()), lost);
-  (void)adopted;
 }
 
 // --------------------------------------------------------------------------
@@ -4375,7 +4342,8 @@ bool Host::ForwardNotifyLocked(PageNum p, std::uint8_t op,
 void Host::RunReclaim(PageNum p) {
   // The manager this page's entry migrated to died with the entry. This host
   // holds the dangling forward pointer, so it rebuilds the entry locally
-  // from survivor claims — a one-page version of RunManagerRecovery.
+  // from survivor claims plus its own, through the same gather, arbitration
+  // and demote delivery as RunManagerRecovery.
   std::uint32_t life;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
@@ -4391,103 +4359,35 @@ void Host::RunReclaim(PageNum p) {
   base::WireWriter qw;
   qw.U16(1);
   qw.U32(p);
-  const net::Body qbody = std::move(qw).Take();
-  struct Claim {
-    std::uint64_t version = 0;
-    Access access = Access::kNone;
-    bool owned = false;
-    bool retained = false;
-    std::uint64_t op_id = 0;
-    bool op_is_write = false;
-    std::uint64_t op_new_version = 0;
-    net::HostId host = 0;
-    bool manages = false;
-    arch::TypeId type = arch::TypeRegistry::kChar;
-    std::uint32_t alloc_bytes = 0;
-  };
   std::vector<Claim> claims;
-  std::vector<net::HostId> unanswered;
-  for (net::HostId h = 0; h < num_hosts_; ++h) {
-    if (h != self_) unanswered.push_back(h);
+  if (!GatherClaims(life, std::move(qw).Take(),
+                    "manager reclaim query exhausted retries", &claims)) {
+    return;
   }
-  for (int round = 0;; ++round) {
-    {
-      std::lock_guard<std::mutex> lk(state_mu_);
-      if (life != life_) return;  // crashed meanwhile; the wipe cleaned up
-    }
-    std::erase_if(unanswered, [&](net::HostId h) {
-      return net_.HostDown(h, rt_.Now());
-    });
-    if (unanswered.empty()) break;
-    MERMAID_CHECK_MSG(round <= cfg_.fault_retry_limit,
-                      "manager reclaim query exhausted retries");
-    if (round > 0) rt_.Delay(FaultBackoff(cfg_, round));
-    auto acks = endpoint_.MultiCallWithStatus(unanswered, kOpRecoveryQuery,
-                                              qbody, net::MsgKind::kControl,
-                                              DsmCallOpts());
-    if (acks.status == net::CallStatus::kShutdown) return;
-    std::set<std::size_t> timed_out(acks.timed_out.begin(),
-                                    acks.timed_out.end());
-    std::vector<net::HostId> next;
-    for (std::size_t i = 0; i < unanswered.size(); ++i) {
-      if (timed_out.count(i) != 0) {
-        next.push_back(unanswered[i]);
-        continue;
-      }
-      const base::Buffer flat = acks.replies[i].Flatten();
-      base::WireReader cr(flat.span());
-      const std::uint16_t cn = cr.U16();
-      for (std::uint16_t k = 0; k < cn && cr.ok(); ++k) {
-        Claim c;
-        const PageNum cp = cr.U32();
-        c.version = cr.U64();
-        c.access = AccessFromByte(cr.U8());
-        const std::uint8_t flags = cr.U8();
-        c.owned = (flags & 1) != 0;
-        c.retained = (flags & 2) != 0;
-        c.manages = (flags & 4) != 0;
-        c.op_id = cr.U64();
-        c.op_is_write = cr.U8() != 0;
-        c.op_new_version = cr.U64();
-        c.type = static_cast<arch::TypeId>(cr.U16());
-        c.alloc_bytes = cr.U32();
-        c.host = unanswered[i];
-        if (cr.ok() && cp == p) claims.push_back(c);
-      }
-      if (!cr.ok()) stats_.Inc("dsm.malformed");
-    }
-    unanswered = std::move(next);
+  std::vector<const Claim*> page_claims;
+  for (const Claim& c : claims) {
+    if (c.page == p) page_claims.push_back(&c);
   }
   // A live migrated entry surfaced elsewhere (the dead manager had already
   // handed the page on before dying): repoint the forward instead of
   // seizing management.
-  const Claim* live_mgr = nullptr;
-  for (const Claim& c : claims) {
-    if (c.manages && (live_mgr == nullptr || c.host < live_mgr->host)) {
-      live_mgr = &c;
-    }
-  }
-  if (live_mgr != nullptr) {
+  if (const Claim* live = LiveManagerClaim(page_claims)) {
     std::lock_guard<std::mutex> lk(state_mu_);
     if (life != life_) return;
     if (dir_.FindManager(p) == nullptr) {
-      dir_.SetForward(p, live_mgr->host, IncOf(live_mgr->host));
-      dir_.LearnManager(p, live_mgr->host, IncOf(live_mgr->host));
+      dir_.SetForward(p, live->host, IncOf(live->host));
+      dir_.LearnManager(p, live->host, IncOf(live->host));
     }
     reclaiming_.erase(p);
     return;
   }
-  struct Out {
-    net::HostId dst = 0;
-    std::uint8_t mode = 0;  // 0 drop, 1 downgrade+disown, 2 promote
-    std::uint64_t version = 0;
-  };
-  std::vector<Out> outs;
+  std::vector<Demote> outs;
   bool reinit = false;
   bool lost = false;
   // Referee events from self-demotes, reported after the lock (recovery's
   // lock-order rule: state_mu_ -> referee only).
-  std::vector<std::pair<std::uint8_t, std::uint64_t>> self_evs;
+  std::vector<DemoteEv> self_evs;
+  std::optional<Claim> own;
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     if (life != life_) return;
@@ -4496,216 +4396,41 @@ void Host::RunReclaim(PageNum p) {
       return;
     }
     // This host's own copy competes like any survivor's claim.
-    {
-      const LocalPageEntry& e = ptable_.Local(p);
-      Claim c;
-      c.host = self_;
-      c.version = e.version;
-      c.access = (cfg_.release_consistency && e.access == Access::kWrite)
-                     ? Access::kRead
-                     : e.access;
-      c.owned = e.owned;
-      c.retained = e.retained;
-      c.type = e.type;
-      c.alloc_bytes = e.alloc_bytes;
-      for (auto it = inflight_ops_.lower_bound({p, 0});
-           it != inflight_ops_.end() && it->first.first == p; ++it) {
-        c.op_id = it->first.second;
-        c.op_is_write = it->second.is_write;
-        c.op_new_version = it->second.new_version;
-      }
-      if (c.version > 0 || c.access != Access::kNone || c.owned ||
-          c.retained || c.op_id != 0) {
-        claims.push_back(c);
-      }
-    }
+    own = ClaimLocked(p);
+    if (own.has_value()) page_claims.push_back(&*own);
     ManagerEntry& m = dir_.AdoptManager(p);
     dir_.ClearForward(p);
     dir_.ForgetManager(p);
-    const Claim* infl = nullptr;
-    bool evidence = false;
-    std::vector<const Claim*> valid;
-    std::uint64_t vmax = 0;
-    for (const Claim& c : claims) {
-      if (c.version > 0 || c.op_id != 0) evidence = true;
-      if (c.access != Access::kNone || c.retained) {
-        valid.push_back(&c);
-        vmax = std::max(vmax, c.version);
-      }
-      if (c.op_id != 0 && (infl == nullptr || c.op_id > infl->op_id)) {
-        infl = &c;
-      }
-      m.alloc_bytes = std::max(m.alloc_bytes, c.alloc_bytes);
+    // Unlike a restarted base manager, which keeps its re-applied type set,
+    // the reclaimed entry starts blank: layout comes from the claims.
+    for (const Claim* c : page_claims) {
+      m.alloc_bytes = std::max(m.alloc_bytes, c->alloc_bytes);
     }
-    if (valid.empty() && infl == nullptr) {
-      if (evidence) {
-        MERMAID_CHECK_MSG(
-            cfg_.lost_page_policy == SystemConfig::LostPagePolicy::kReinitZero,
-            "page lost with its migrated manager: every copy died");
-        stats_.Inc("dsm.recovery_pages_lost");
-        lost = true;
-      }
-      m.owner = self_;
-      m.copyset.insert(self_);
-      m.version = 0;
-      LocalPageEntry& e = ptable_.Local(p);
-      e.access = Access::kRead;
-      e.owned = true;
-      e.version = 0;
-      e.retained = false;
-      e.type = m.type;
-      e.alloc_bytes = m.alloc_bytes;
-      const std::size_t base = static_cast<std::size_t>(p) * page_bytes_;
-      const std::size_t end =
-          std::min<std::size_t>(base + page_bytes_, mem_.size());
-      std::fill(mem_.begin() + base, mem_.begin() + end, 0);
-      reinit = true;
-      if (referee_ != nullptr) referee_->OnReinit(self_, p, 0);
-    } else {
-      auto rank = [](const Claim* c) {
-        if (c->owned && c->access == Access::kWrite) return 3;
-        if (c->owned) return 2;
-        if (c->access != Access::kNone) return 1;
-        return 0;
-      };
-      const bool adopt = infl != nullptr && infl->op_new_version >= vmax;
-      const Claim* winner = nullptr;
-      for (const Claim* c : valid) {
-        if (c->version < vmax) continue;
-        if (winner == nullptr || rank(c) > rank(winner) ||
-            (rank(c) == rank(winner) && c->host < winner->host)) {
-          winner = c;
-        }
-      }
-      if (winner != nullptr) {
-        m.owner = winner->host;
-        m.version = vmax;
-        m.type = winner->type;
-        for (const Claim* c : valid) {
-          const bool pending_install = adopt && c->host == infl->host;
-          if (c->version < vmax) {
-            if (!pending_install) outs.push_back({c->host, 0, vmax});
-            continue;
-          }
-          if (c == winner) {
-            m.copyset.insert(c->host);
-            outs.push_back({c->host, 2, vmax});
-            continue;
-          }
-          if (c->access == Access::kNone) {
-            if (!pending_install) outs.push_back({c->host, 0, vmax});
-            continue;
-          }
-          m.copyset.insert(c->host);
-          if (c->owned || c->access == Access::kWrite) {
-            if (!pending_install) outs.push_back({c->host, 1, vmax});
-          }
-        }
-      }
-      if (adopt) {
-        if (winner == nullptr) {
-          m.owner = infl->host;
-          m.version = infl->op_new_version;
-          m.type = infl->type;
-        }
-        m.busy = true;
-        m.busy_op_id = infl->op_id;
-        m.busy_requester = infl->host;
-        m.busy_is_write = infl->op_is_write;
-        m.busy_new_version = infl->op_new_version;
-        m.busy_since = rt_.Now();
-        stats_.Inc("dsm.recovery_inflight_adopted");
-      }
-      // Demotes addressed to this host apply inline, mirroring
-      // HandleRecoveryDemote (fencing included).
-      std::erase_if(outs, [&](const Out& o) {
+    if (const Claim* src = ArbitrateLocked(p, m, page_claims, &outs, &lost)) {
+      m.type = src->type;
+      // Demotes addressed to this host apply inline.
+      std::erase_if(outs, [&](const Demote& o) {
         if (o.dst != self_) return false;
-        LocalPageEntry& e = ptable_.Local(p);
-        if (o.mode == 0 || o.mode == 1) {
-          for (auto it = inflight_ops_.lower_bound({p, 0});
-               it != inflight_ops_.end() && it->first.first == p;) {
-            FenceOpLocked(it->first.first, it->first.second);
-            it = inflight_ops_.erase(it);
-          }
-        }
-        if (o.mode == 0) {
-          if (e.access != Access::kNone) {
-            self_evs.push_back({0, 0});
-            stats_.Inc("dsm.recovery_demotions");
-          }
-          e.access = Access::kNone;
-          e.owned = false;
-          e.retained = false;
-          DropConvertCacheLocked(p);
-        } else if (o.mode == 1) {
-          if (e.access == Access::kWrite) {
-            e.access = Access::kRead;
-            self_evs.push_back({1, 0});
-            stats_.Inc("dsm.recovery_demotions");
-          }
-          e.owned = false;
-        } else {
-          if (e.access == Access::kNone && e.retained) {
-            e.access = Access::kRead;
-            e.retained = false;
-            self_evs.push_back({2, e.version});
-          } else if (e.access == Access::kWrite) {
-            e.access = Access::kRead;
-            self_evs.push_back({1, 0});
-          }
-          if (e.access != Access::kNone) {
-            e.owned = true;
-            stats_.Inc("dsm.recovery_promotions");
-          }
-        }
+        ApplyDemoteLocked(p, o.mode, &self_evs);
         return true;
       });
+    } else {
+      ReinitPageLocked(
+          p, m,
+          lost ? "page lost with its migrated manager: every copy died"
+               : nullptr);
+      reinit = true;
+      if (referee_ != nullptr) referee_->OnReinit(self_, p, 0);
     }
     reclaiming_.erase(p);
   }
-  for (const auto& [kind, version] : self_evs) {
-    if (referee_ == nullptr) break;
-    if (kind == 0) {
-      referee_->OnInvalidate(self_, p);
-    } else if (kind == 1) {
-      referee_->OnDowngrade(self_, p);
-    } else {
-      referee_->OnInstall(self_, p, version, Access::kRead);
-    }
-  }
+  ReportDemoteEvs(self_evs);
   if (reinit) {
     TraceEv(trace::EventKind::kRecoveryLost, p, 0, 0, lost ? 1 : 0);
   } else {
     TraceEv(trace::EventKind::kRecoveryRebuild, p, 0, 0, 1 /* reclaim */);
   }
-  // Apply the arbitration on remote claimants; reliable like recovery's
-  // demote delivery, skipped when the destination itself died.
-  std::map<net::HostId, std::vector<Out>> by_dst;
-  for (const Out& o : outs) by_dst[o.dst].push_back(o);
-  for (const auto& [dst, cmds] : by_dst) {
-    base::WireWriter w;
-    w.U16(static_cast<std::uint16_t>(cmds.size()));
-    for (const Out& o : cmds) {
-      w.U32(p);
-      w.U8(o.mode);
-      w.U64(o.version);
-    }
-    const net::Body body = std::move(w).Take();
-    for (int round = 0;; ++round) {
-      {
-        std::lock_guard<std::mutex> lk(state_mu_);
-        if (life != life_) return;
-      }
-      if (net_.HostDown(dst, rt_.Now())) break;
-      MERMAID_CHECK_MSG(round <= cfg_.fault_retry_limit,
-                        "reclaim demote exhausted retries");
-      if (round > 0) rt_.Delay(FaultBackoff(cfg_, round));
-      auto res = endpoint_.CallWithStatus(dst, kOpRecoveryDemote, body,
-                                          net::MsgKind::kControl,
-                                          DsmCallOpts());
-      if (res.status != net::CallStatus::kTimedOut) break;
-    }
-  }
+  if (!SendDemotes(life, outs, "reclaim demote exhausted retries")) return;
   ManagerDrain(p);
 }
 

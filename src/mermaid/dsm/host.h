@@ -41,6 +41,7 @@
 #include "mermaid/arch/type_registry.h"
 #include "mermaid/base/buffer.h"
 #include "mermaid/base/stats.h"
+#include "mermaid/base/wire.h"
 #include "mermaid/dsm/directory.h"
 #include "mermaid/dsm/page_table.h"
 #include "mermaid/dsm/referee.h"
@@ -332,6 +333,15 @@ class Host {
   // confirms every page. False on shutdown.
   bool FlushDeferredWrites(std::vector<DeferredWrite> deferred,
                            FaultTelemetry* telem);
+  // Accepts a grant decoded from a remote manager `mgr`, before its install;
+  // the shared locked step of the remote, stale-hint and group-fetch paths.
+  // Refuses (counted) a grant this host fenced, one that outlived the fault
+  // round's `life`, or one issued by a dead incarnation of `mgr`; otherwise
+  // registers it in inflight_ops_, learns the probable owner (probable_owner
+  // on) and learns `mgr` as the page's manager (dynamic directory). Caller
+  // holds state_mu_.
+  bool AcceptGrantLocked(PageNum p, bool is_write, const FetchReply& reply,
+                         net::HostId mgr, std::uint32_t life);
   // Install + invalidate + (write-)grant; shared tail of both fault
   // variants. With `deferred` non-null a write parks instead of finalizing.
   TransferResult CompleteTransfer(PageNum p, bool is_write,
@@ -444,7 +454,82 @@ class Host {
   // for each managed page, demotes duplicate or stale writers, adopts
   // claimed in-flight transfers, and applies SystemConfig::lost_page_policy
   // when the sole copy of a page died. Blocking; run from a recovery daemon.
+  // RunReclaim is the one-page caller of the same rebuild pipeline:
+  // GatherClaims -> ArbitrateLocked (or ReinitPageLocked) -> SendDemotes.
   void RunManagerRecovery();
+
+  // One host's statement about one page in a manager rebuild: its copy,
+  // retained image and highest in-flight grant; under the dynamic directory
+  // also the page's type and extent, and whether it holds the live
+  // migrated entry.
+  struct Claim {
+    PageNum page = 0;
+    net::HostId host = 0;  // the claimant (not on the wire)
+    std::uint64_t version = 0;
+    Access access = Access::kNone;
+    bool owned = false;
+    bool retained = false;
+    bool manages = false;
+    std::uint64_t op_id = 0;  // 0 = no grant in flight
+    bool op_is_write = false;
+    std::uint64_t op_new_version = 0;
+    arch::TypeId type = arch::TypeRegistry::kChar;
+    std::uint32_t alloc_bytes = 0;
+  };
+  // One rebuild verdict for a claimant (kOpRecoveryDemote entry).
+  struct Demote {
+    net::HostId dst = 0;  // not on the wire
+    PageNum page = 0;
+    std::uint8_t mode = 0;  // 0 drop, 1 downgrade+disown, 2 promote
+    std::uint64_t version = 0;
+  };
+  // A referee event from applying a demote, reported after state_mu_ drops
+  // (lock order state_mu_ -> referee only).
+  struct DemoteEv {
+    std::uint8_t kind = 0;  // 0 invalidate, 1 downgrade, 2 install
+    PageNum page = 0;
+    std::uint64_t version = 0;
+  };
+  // This host's claim on page p; nullopt when it has nothing to say (no
+  // copy, image, grant, managed entry or version trace). Caller holds
+  // state_mu_.
+  std::optional<Claim> ClaimLocked(PageNum p);
+  void EncodeClaim(base::WireWriter& w, const Claim& c) const;
+  Claim DecodeClaim(base::WireReader& r) const;
+  static net::Body EncodeDemotes(const std::vector<Demote>& ds);
+  // Queries every other host with `query` (empty: the full sweep of pages
+  // based here, counted and traced; else a page list) until each has
+  // answered or is down, appending their claims. Aborts with `abort_msg`
+  // past the retry budget. False when this life ended or on shutdown.
+  bool GatherClaims(std::uint32_t life, const net::Body& query,
+                    const char* abort_msg, std::vector<Claim>* claims);
+  // The lowest-id claimant holding the live migrated entry, or nullptr.
+  static const Claim* LiveManagerClaim(
+      const std::vector<const Claim*>& claims);
+  // Rebuilds entry m of page p from its claims: highest version wins, then
+  // rank (owner-writer, owner, copy, retained image) and lowest host id;
+  // appends the drop/downgrade/promote demotes to `outs` and adopts the
+  // highest in-flight grant as busy. Returns the claim the rebuilt owner
+  // came from, or nullptr when no copy and no grant survives: the caller
+  // then reinitializes, and *lost says a claim showed the page once lived.
+  // Caller holds state_mu_.
+  const Claim* ArbitrateLocked(PageNum p, ManagerEntry& m,
+                               const std::vector<const Claim*>& claims,
+                               std::vector<Demote>* outs, bool* lost);
+  // Zero-fills page p as this manager's own copy at version 0. With
+  // `lost_msg` the reinit is a counted page loss, fatal with that message
+  // unless the lost-page policy is kReinitZero. Caller holds state_mu_.
+  void ReinitPageLocked(PageNum p, ManagerEntry& m, const char* lost_msg);
+  // Applies one demote to this host's copy of p, fencing decoded grants on
+  // a drop/downgrade. Caller holds state_mu_.
+  void ApplyDemoteLocked(PageNum p, std::uint8_t mode,
+                         std::vector<DemoteEv>* evs);
+  void ReportDemoteEvs(const std::vector<DemoteEv>& evs);
+  // Delivers `outs` as one bounded-retry kOpRecoveryDemote call per
+  // destination (skipped when it is down); aborts with `abort_msg` past the
+  // retry budget. False when this life ended.
+  bool SendDemotes(std::uint32_t life, const std::vector<Demote>& outs,
+                   const char* abort_msg);
   // Shared dead-owner repair: removes `dead_owner` from page p's manager
   // entry and promotes a surviving copy (or applies the lost-page policy).
   // No-op when the report is stale (current owner differs). `op_id` is the
@@ -560,6 +645,14 @@ class Host {
   // installed grant is discarded instead of installed. Caller holds state_mu_.
   void FenceOpLocked(PageNum p, std::uint64_t op_id);
   net::Body EncodeFetchReply(const FetchReply& r) const;
+  // Requester -> manager bodies. kOpGrantReject's no_copy=1 disclaims any
+  // copy at install time; 0 is plain abandonment (timeout, probe disown).
+  static net::Body EncodeGrantReject(PageNum p, std::uint64_t op_id,
+                                     bool no_copy);
+  net::Body EncodeConfirm(PageNum p, std::uint64_t op_id,
+                          bool is_write) const;
+  static net::Body EncodePageLost(PageNum p, std::uint64_t op_id,
+                                  net::HostId owner);
   FetchReply DecodeFetchReply(const base::BufferChain& body) const;
   net::Endpoint::CallOpts DsmCallOpts() const;
 

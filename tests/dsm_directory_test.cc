@@ -22,6 +22,9 @@
 #include "mermaid/dsm/directory.h"
 #include "mermaid/dsm/system.h"
 #include "mermaid/sim/engine.h"
+#include "mermaid/trace/trace.h"
+
+#include "fixture_hash.h"
 
 namespace mermaid::dsm {
 namespace {
@@ -308,6 +311,16 @@ PageNum PickPageManagedBy(const SystemConfig& cfg, std::uint16_t num_hosts,
   return 0;
 }
 
+// Frozen answers: the FNV-1a hash of the merged stats registry and the final
+// virtual time, recorded before crash recovery and directory reclaim shared
+// one rebuild pipeline.
+void ExpectFrozen(System& sys, SimTime end, std::uint64_t stats_hash,
+                  SimTime frozen_end) {
+  const std::string stats = sys.GatherStats().ToString();
+  EXPECT_EQ(fixture::Fnv1a64(stats), stats_hash) << stats;
+  EXPECT_EQ(end, frozen_end);
+}
+
 SystemConfig DirRecoveryConfig(std::uint64_t seed) {
   SystemConfig cfg = DirConfig(seed);
   cfg.directory_mode = SystemConfig::DirectoryMode::kDynamic;
@@ -352,7 +365,7 @@ TEST(DirRecovery, ForwardSurvivesCrashOfBaseManager) {
     seen = h.Read<std::int64_t>(a);
     h.runtime().Delay(Seconds(3));
   });
-  eng.Run();
+  const SimTime end = eng.Run();
   EXPECT_EQ(seen, 42);
   auto& st = sys.GatherStats();
   EXPECT_EQ(st.Count("dsm.crashes"), 1);
@@ -360,6 +373,7 @@ TEST(DirRecovery, ForwardSurvivesCrashOfBaseManager) {
   EXPECT_GE(st.Count("dsm.recovery_forwards"), 1)
       << "the rebuilt base must forward to the live adopted manager";
   ExpectQuiescent(sys);
+  ExpectFrozen(sys, end, 11053935320457609323ull, 6771335040);
 }
 
 // The *adopted* manager of a migrated page crashes. The base (holding a
@@ -402,13 +416,95 @@ TEST(DirRecovery, ReclaimAfterAdoptedManagerDeath) {
     sys.sync(0).P(1);
     h.runtime().Delay(Seconds(5));
   });
-  eng.Run();
+  const SimTime end = eng.Run();
   EXPECT_EQ(pre, 7);
   EXPECT_EQ(post, 7) << "the surviving copy must be promoted, not reinitialized";
   auto& st = sys.GatherStats();
   EXPECT_EQ(st.Count("dsm.crashes"), 1);
   EXPECT_GE(st.Count("dsm.mgr_reclaims_run"), 1);
   ExpectQuiescent(sys);
+  ExpectFrozen(sys, end, 10008323682333069712ull, 5971335040);
+}
+
+// Reclaim with competing claimants. Hosts 1, 2 and 3 write page p in turn,
+// so management follows the writers (base 1 -> 2 -> 3) and each earlier
+// writer keeps a retained image of the version it handed on; host 0 then
+// reads the last version. The adopted manager, host 3, dies. Host 2 holds the
+// forward pointer to it, so host 2 reclaims the entry from three claims:
+// host 0's live copy, host 1's stale retained image and its own. Host 0 is
+// promoted over the wire and host 1 is sent a mode-0 (drop) demote.
+TEST(DirRecovery, ReclaimDemotesStaleRemoteClaimant) {
+  SystemConfig cfg = DirRecoveryConfig(72003);
+  cfg.trace = true;
+  constexpr PageNum kPages = 64;
+  const PageNum p = PickPageManagedBy(cfg, 4, kPages, /*want=*/1);
+  const net::HostId victim = 3;
+
+  sim::Engine eng;
+  System sys(eng, cfg,
+             {&arch::Sun3Profile(), &arch::FireflyProfile(),
+              &arch::FireflyProfile(), &arch::Sun3Profile()});
+  sys.Start();
+
+  std::int64_t pre = -1, post = -1, last = -1;
+  sys.SpawnThread(0, "master", [&](Host& h) {
+    sys.Alloc(0, Reg::kLong, kPages * 128);
+    const GlobalAddr a = 1024ull * p;
+    sys.sync(0).SemInit(1, 0);
+    for (net::HostId w = 1; w <= victim; ++w) {
+      sys.SpawnThread(w, "writer", [&, a, w](Host& hh) {
+        hh.Write<std::int64_t>(a, 10 * w);  // management follows the writer
+        sys.sync(w).V(1);
+      });
+      sys.sync(0).P(1);
+      h.runtime().Delay(Milliseconds(300));  // migration handshake completes
+    }
+    pre = h.Read<std::int64_t>(a);  // host 0's live copy of the last version
+    sys.CrashAndRestartHost(victim, Seconds(2));
+    h.runtime().Delay(Milliseconds(200));
+    sys.SpawnThread(0, "writer0", [&, a](Host& hh) {
+      post = hh.Read<std::int64_t>(a);
+      hh.Write<std::int64_t>(a, 99);  // faults into the reclaim
+      sys.sync(0).V(1);
+    });
+    sys.sync(0).P(1);
+    sys.SpawnThread(1, "reader", [&, a](Host& hh) {
+      last = hh.Read<std::int64_t>(a);
+      sys.sync(1).V(1);
+    });
+    sys.sync(0).P(1);
+    h.runtime().Delay(Seconds(5));
+  });
+  const SimTime end = eng.Run();
+  EXPECT_EQ(pre, 30);
+  EXPECT_EQ(post, 30) << "the live copy must be promoted, not reinitialized";
+  EXPECT_EQ(last, 99);
+
+  // The reclaim of p (a kRecoveryRebuild with a0 = 1), then the demotes it
+  // sent: kRecoveryDemote on the receiving host, a0 = sender, a1 = mode.
+  const std::vector<trace::Event> evs = sys.tracer().Snapshot();
+  net::HostId reclaimer = trace::kNoHost;
+  for (const trace::Event& e : evs) {
+    if (e.kind == trace::EventKind::kRecoveryRebuild && e.page == p &&
+        e.a0 == 1) {
+      reclaimer = e.host;
+    }
+  }
+  EXPECT_EQ(reclaimer, 2) << "the forward holder reclaims the entry";
+  std::map<net::HostId, std::int64_t> mode_sent;
+  for (const trace::Event& e : evs) {
+    if (e.kind == trace::EventKind::kRecoveryDemote && e.page == p &&
+        e.a0 == reclaimer && e.host != reclaimer) {
+      mode_sent[e.host] = e.a1;
+    }
+  }
+  EXPECT_EQ(mode_sent, (std::map<net::HostId, std::int64_t>{{0, 2}, {1, 0}}))
+      << "host 0 is promoted and host 1's stale image dropped";
+  auto& st = sys.GatherStats();
+  EXPECT_EQ(st.Count("dsm.crashes"), 1);
+  EXPECT_GE(st.Count("dsm.mgr_reclaims_run"), 1);
+  ExpectQuiescent(sys);
+  ExpectFrozen(sys, end, 13133786721822733034ull, 9239370642);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "mermaid/base/wire.h"
 #include "mermaid/dsm/directory.h"
 #include "mermaid/dsm/page_table.h"
 #include "mermaid/dsm/referee.h"
@@ -130,6 +131,64 @@ TEST(Robustness, GarbagePacketsAreDroppedNotFatal) {
     EXPECT_EQ(h.Read<std::int32_t>(0), 777);
   });
   eng.Run();
+}
+
+// Well-formed requests naming a page past the end of the region: the
+// invalidate, owner-fetch (read and write) and diff-flush handlers must drop
+// each one as malformed instead of indexing the page table or directory.
+TEST(Robustness, OutOfRangePagesAreDropped) {
+  constexpr PageNum kBogus = PageNum{1} << 30;
+  sim::Engine eng;
+  SystemConfig cfg;
+  cfg.region_bytes = 64 * 1024;
+  cfg.release_consistency = true;  // HandleDiffFlush drops everything else
+  System sys(eng, cfg, {&arch::Sun3Profile(), &arch::FireflyProfile()});
+  sys.Start();
+
+  std::int64_t dropped = -1;
+  sys.SpawnThread(0, "sender", [&](Host& h) {
+    const std::int64_t before = sys.host(1).stats().Count("dsm.malformed");
+    base::WireWriter inv;
+    inv.U32(kBogus);
+    h.endpoint().Notify(1, kOpInvalidate, std::move(inv).Take());
+    for (std::uint8_t op : {kOpReadReq, kOpWriteReq}) {
+      base::WireWriter w;
+      w.U8(kToOwner);
+      w.U32(kBogus);
+      w.U64(1);  // op_id
+      w.U64(1);  // new_version
+      w.U8(1);   // data_needed
+      w.U16(static_cast<std::uint16_t>(arch::TypeRegistry::kInt));
+      w.U32(4);  // alloc_bytes
+      w.U16(0);  // nothing to invalidate
+      h.endpoint().Notify(1, op, std::move(w).Take());
+    }
+    base::WireWriter diff;
+    diff.U32(kBogus);
+    diff.U64(1);  // seq
+    diff.U16(static_cast<std::uint16_t>(arch::TypeRegistry::kInt));
+    diff.U8(0);   // rep
+    diff.U16(1);  // one range
+    diff.U32(0);
+    diff.U32(4);
+    const std::uint8_t bytes[4] = {1, 2, 3, 4};
+    diff.Raw(bytes);
+    h.endpoint().Notify(1, kOpDiffFlush, std::move(diff).Take());
+    h.runtime().Delay(Seconds(1));
+    dropped = sys.host(1).stats().Count("dsm.malformed") - before;
+    // The protocol still works afterwards.
+    GlobalAddr a = sys.Alloc(0, arch::TypeRegistry::kInt, 16);
+    h.Write<std::int32_t>(a, 777);
+    sys.sync(0).EventSet(1);
+  });
+  std::int32_t seen = 0;
+  sys.SpawnThread(1, "reader", [&](Host& h) {
+    sys.sync(1).EventWait(1);
+    seen = h.Read<std::int32_t>(0);
+  });
+  eng.Run();
+  EXPECT_EQ(dropped, 4);
+  EXPECT_EQ(seen, 777);
 }
 
 // Region-boundary behavior: a fault group near the end of the region stops

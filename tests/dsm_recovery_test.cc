@@ -7,7 +7,8 @@
 // terminate, the coherence referee stays clean through the crash and the
 // rebuild, and at quiescence no manager entry is busy and no transfer is
 // queued. The network RNG is seeded, so a passing run is a regression
-// test, not a coin flip.
+// test, not a coin flip; each run's stats and end time are also pinned to
+// frozen values (ExpectFrozen).
 #include <atomic>
 #include <memory>
 #include <vector>
@@ -17,6 +18,8 @@
 #include "mermaid/arch/arch.h"
 #include "mermaid/dsm/system.h"
 #include "mermaid/sim/engine.h"
+
+#include "fixture_hash.h"
 
 namespace mermaid::dsm {
 namespace {
@@ -45,6 +48,17 @@ void ExpectQuiescent(System& sys) {
   const auto q = sys.CheckQuiescent();
   EXPECT_EQ(q.busy_entries, 0u) << "manager entries still busy at quiescence";
   EXPECT_EQ(q.pending_transfers, 0u) << "transfers still queued at quiescence";
+}
+
+// Frozen answers: the FNV-1a hash of the merged stats registry and the final
+// virtual time, recorded before crash recovery and directory reclaim shared
+// one rebuild pipeline. A change in the claims gathered, the arbitration or
+// the demotes sent moves at least one of them.
+void ExpectFrozen(System& sys, SimTime end, std::uint64_t stats_hash,
+                  SimTime frozen_end) {
+  const std::string stats = sys.GatherStats().ToString();
+  EXPECT_EQ(fixture::Fnv1a64(stats), stats_hash) << stats;
+  EXPECT_EQ(end, frozen_end);
 }
 
 // The manager of a page dies while a read fault against that page is in
@@ -79,7 +93,7 @@ TEST(Recovery, ManagerCrashMidTransferRebuildsState) {
     sys.sync(0).P(1);
     h.runtime().Delay(Seconds(5));  // confirm/probe drain before quiescence
   });
-  eng.Run();
+  const SimTime end = eng.Run();
   EXPECT_EQ(seen, 42);
   auto& st = sys.GatherStats();
   EXPECT_EQ(st.Count("dsm.crashes"), 1);
@@ -87,6 +101,7 @@ TEST(Recovery, ManagerCrashMidTransferRebuildsState) {
   EXPECT_GE(st.Count("dsm.recovery_claims"), 1);
   EXPECT_EQ(st.Count("dsm.recovery_pages_lost"), 0);
   ExpectQuiescent(sys);
+  ExpectFrozen(sys, end, 7387510291326302168ull, 111328215219);
 }
 
 // The sole owner of a dirty page dies: every copy of the data is gone.
@@ -121,7 +136,7 @@ TEST(Recovery, DirtyOwnerCrashReinitializesLostPage) {
     sys.sync(0).P(1);
     h.runtime().Delay(Seconds(5));
   });
-  eng.Run();
+  const SimTime end = eng.Run();
   EXPECT_EQ(seen, 0) << "a lost page must re-read as zeroes, not garbage";
   auto& st = sys.GatherStats();
   EXPECT_EQ(st.Count("dsm.crashes"), 1);
@@ -130,6 +145,7 @@ TEST(Recovery, DirtyOwnerCrashReinitializesLostPage) {
                 st.Count("dsm.owner_lost_reports"),
             1);
   ExpectQuiescent(sys);
+  ExpectFrozen(sys, end, 4132436653261764389ull, 5652582080);
 }
 
 // Crash mid-group-fetch with survivors: host 1 owns a 12-page array, the
@@ -176,7 +192,7 @@ TEST(Recovery, GroupFetchCrashPromotesSurvivingCopies) {
     sys.sync(0).P(1);
     h.runtime().Delay(Seconds(5));
   });
-  eng.Run();
+  const SimTime end = eng.Run();
   for (int p = 0; p < kPages; ++p) {
     EXPECT_EQ(host0_seen[p], 100 + p) << "pre-crash read, page " << p;
     EXPECT_EQ(host2_seen[p], 100 + p)
@@ -188,6 +204,7 @@ TEST(Recovery, GroupFetchCrashPromotesSurvivingCopies) {
   EXPECT_GE(st.Count("dsm.recovery_promotions"), 1);
   EXPECT_EQ(st.Count("dsm.recovery_pages_lost"), 0);
   ExpectQuiescent(sys);
+  ExpectFrozen(sys, end, 8052951030065184924ull, 8467623586);
 }
 
 // The same host crashes twice, with writes landing between the crashes.
@@ -222,13 +239,14 @@ TEST(Recovery, DoubleCrashConverges) {
     seen = h.Read<std::int64_t>(a);
     h.runtime().Delay(Seconds(5));
   });
-  eng.Run();
+  const SimTime end = eng.Run();
   EXPECT_EQ(seen, 2);
   auto& st = sys.GatherStats();
   EXPECT_EQ(st.Count("dsm.crashes"), 2);
   EXPECT_GE(st.Count("dsm.recovery_queries"), 2);
   EXPECT_EQ(st.Count("dsm.recovery_pages_lost"), 0);
   ExpectQuiescent(sys);
+  ExpectFrozen(sys, end, 10496308198513907281ull, 11163110560);
 }
 
 // A requester dies in the middle of its own write fault (the owner's data
@@ -272,7 +290,7 @@ TEST(Recovery, RequesterCrashMidFaultFencesZombieOps) {
     seen = h.Read<std::int64_t>(a);
     h.runtime().Delay(Seconds(5));
   });
-  eng.Run();
+  const SimTime end = eng.Run();
   EXPECT_TRUE(writer_done.load());
   EXPECT_EQ(seen, 77);
   auto& st = sys.GatherStats();
@@ -283,6 +301,7 @@ TEST(Recovery, RequesterCrashMidFaultFencesZombieOps) {
       << "the pre-crash in-flight op must be fenced, not silently reused";
   EXPECT_EQ(st.Count("dsm.recovery_pages_lost"), 0);
   ExpectQuiescent(sys);
+  ExpectFrozen(sys, end, 11040116300692184209ull, 8136542423);
 }
 
 // A semaphore holder crashes inside its critical section. The sync server
@@ -315,11 +334,12 @@ TEST(Recovery, SemaphoreHolderCrashBreaksLock) {
     sys.sync(0).P(4);  // only reachable if the broken lock was handed over
     h.runtime().Delay(Seconds(3));
   });
-  eng.Run();
+  const SimTime end = eng.Run();
   EXPECT_TRUE(waiter_got_lock.load());
   auto& st = sys.GatherStats();
   EXPECT_EQ(st.Count("sync.broken_locks"), 1);
   ExpectQuiescent(sys);
+  ExpectFrozen(sys, end, 3298208301988993202ull, 3519820800);
 }
 
 }  // namespace
